@@ -2,11 +2,13 @@
 
 Two micro-benchmarks for the PR-3 dynamics subsystem:
 
-* **bench_dynamics_fading_decode** - the batch slot engine running a beacon
-  workload under per-slot Rayleigh fading.  Timed as the headline number;
-  in all modes it asserts the two correctness anchors: the deterministic
-  gain model is bit-identical to no model at all, and the same fading seed
-  reproduces identical outcomes.
+* **bench_dynamics_fading_decode** - the slot engine running a beacon
+  workload under per-slot Rayleigh fading.  Timed as the headline number
+  (timed runs also print the per-object oracle of ``tests/oracles.py``
+  alongside); in all modes it asserts the correctness anchors: the
+  deterministic gain model is bit-identical to no model at all, the same
+  fading seed reproduces identical outcomes, and the faded run equals the
+  oracle's.
 * **bench_dynamics_mobility_invalidation** - moving ``k`` of ``n`` nodes via
   :meth:`NodeArrayCache.update_positions` (O(k * n) row/column patching of
   the cached distance + attenuation matrices) against rebuilding the caches
@@ -24,7 +26,8 @@ import numpy as np
 from repro.dynamics import DeterministicPathLoss, RayleighFading
 from repro.geometry import deployment_by_name
 from repro.runtime import NodeAgent, Simulator, spawn_agent_rngs
-from repro.sinr import Channel, NodeArrayCache, SINRParameters, Transmission
+from repro.sinr import Channel, NodeArrayCache, SINRParameters
+from tests.oracles import LegacySimulator
 
 N_AGENTS = 128
 N_SLOTS = 600
@@ -43,28 +46,24 @@ class _Beacon(NodeAgent):
         self.phase = node.id % 8
         self.heard = 0
 
-    def act_batch(self, slot):
+    def act(self, slot):
         if slot & 7 == self.phase:
             return self.power, None
         return None
-
-    def act(self, slot):
-        action = self.act_batch(slot)
-        if action is None:
-            return None
-        return Transmission(self.node, action[0], action[1])
 
     def observe(self, slot, reception):
         if reception is not None:
             self.heard += 1
 
 
-def _run_beacons(params: SINRParameters, slots: int):
+def _run_beacons(params: SINRParameters, slots: int, *, oracle: bool = False):
     nodes = deployment_by_name("uniform", N_AGENTS, np.random.default_rng(15))
     rngs = spawn_agent_rngs(np.random.default_rng(16), N_AGENTS)
     power = params.min_power_for(1.5)
     agents = [_Beacon(node, rng, power) for node, rng in zip(nodes, rngs)]
-    simulator = Simulator(agents, Channel(params), engine="batch", trace_level="counts")
+    simulator = (
+        LegacySimulator(agents, Channel(params)) if oracle else Simulator(agents, params)
+    )
     simulator.run(slots)
     return simulator.trace.successful_receptions, [agent.heard for agent in agents]
 
@@ -83,7 +82,19 @@ def bench_dynamics_fading_decode(benchmark):
     assert first == second, "same fading seed must reproduce identical outcomes"
     assert first != plain, "per-slot Rayleigh fading must perturb outcomes"
 
+    start = time.perf_counter()
+    oracle = _run_beacons(faded_params, slots, oracle=True)
+    oracle_time = time.perf_counter() - start
+    assert first == oracle, "faded decode must match the per-object oracle"
+
     benchmark.pedantic(lambda: _run_beacons(faded_params, slots), rounds=1, iterations=1)
+    if benchmark.enabled:
+        start = time.perf_counter()
+        _run_beacons(faded_params, slots)
+        print(
+            f"\nfaded beacons {N_AGENTS} agents x {slots} slots: simulator "
+            f"{time.perf_counter() - start:.3f}s, per-object oracle {oracle_time:.3f}s"
+        )
 
 
 def _materialized_cache(alpha: float) -> NodeArrayCache:

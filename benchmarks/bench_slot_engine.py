@@ -1,12 +1,13 @@
-"""Slot-engine benchmark: vectorized batch engine vs the seed (PR-1) slot path.
+"""Slot-engine benchmark: the vectorized simulator vs the seed (PR-1) slot path.
 
 Runs the same 256-agent, 2000-slot beacon workload twice:
 
-* **fast**: batch engine, ``resolve_indices`` over the cached attenuation
-  matrix, columnar counts trace;
-* **seed**: the PR-1 slot path - legacy engine (per-object ``act``/
-  ``resolve``), cached node distances, and the seed per-listener decode loop
-  (``decode_reference``) with the record trace.
+* **fast**: :class:`~repro.runtime.Simulator`, ``resolve_indices_full`` over
+  the cached attenuation matrix, columnar trace;
+* **seed**: the PR-1 slot path - the test-side per-object oracle
+  (``tests/oracles.py``: ``Transmission`` objects through ``resolve``),
+  cached node distances, and the seed per-listener decode loop
+  (``decode_reference``).
 
 In timed runs (``--benchmark-only``, ``scripts/run_benchmarks.py``, the
 non-blocking CI micro-benchmark job) this asserts PR 2's acceptance
@@ -24,8 +25,9 @@ import numpy as np
 
 from repro.geometry import deployment_by_name
 from repro.runtime import NodeAgent, Simulator, spawn_agent_rngs
-from repro.sinr import CachedChannel, Channel, SINRParameters, Transmission
+from repro.sinr import CachedChannel, SINRParameters
 from repro.sinr.channel import decode_reference
+from tests.oracles import LegacySimulator
 
 N_AGENTS = 256
 N_SLOTS = 2000
@@ -41,16 +43,10 @@ class ProbeAgent(NodeAgent):
         self.phase = node.id % 8
         self.heard = 0
 
-    def act_batch(self, slot):
+    def act(self, slot):
         if slot & 7 == self.phase:
             return self.power, None
         return None
-
-    def act(self, slot):
-        action = self.act_batch(slot)
-        if action is None:
-            return None
-        return Transmission(self.node, action[0], action[1])
 
     def observe(self, slot, reception):
         if reception is not None:
@@ -78,7 +74,7 @@ def _make_agents(params: SINRParameters) -> list[ProbeAgent]:
 
 def _run_fast(params: SINRParameters, slots: int):
     agents = _make_agents(params)
-    simulator = Simulator(agents, Channel(params), engine="batch", trace_level="counts")
+    simulator = Simulator(agents, params)
     simulator.run(slots)
     return simulator.trace, [agent.heard for agent in agents]
 
@@ -86,7 +82,7 @@ def _run_fast(params: SINRParameters, slots: int):
 def _run_seed(params: SINRParameters, slots: int):
     agents = _make_agents(params)
     channel = SeedDecodeChannel(params, [agent.node for agent in agents])
-    simulator = Simulator(agents, channel, engine="legacy", trace_level="records")
+    simulator = LegacySimulator(agents, channel)
     simulator.run(slots)
     return simulator.trace, [agent.heard for agent in agents]
 
@@ -106,6 +102,7 @@ def _assert_same_outcomes(fast, seed, slots):
     assert fast_trace.slots_used == seed_trace.slots_used == slots
     assert fast_trace.transmissions_sent == seed_trace.transmissions_sent
     assert fast_trace.successful_receptions == seed_trace.successful_receptions
+    assert fast_trace.records == seed_trace.records
     assert fast_heard == seed_heard
 
 

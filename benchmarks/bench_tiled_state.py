@@ -37,7 +37,7 @@ from repro.sinr import (
     SINRParameters,
     TiledAffectanceTotals,
 )
-from repro.state import DecodeWorkspace, TiledNetworkState
+from repro.state import DecodeWorkspace, NetworkState, TiledNetworkState
 
 #: The headline scale; the dense store would need 40 GB of matrices here.
 N_LARGE = 50_000
@@ -161,7 +161,9 @@ def bench_tiled_vs_dense_4096(benchmark):
     nodes = deployment_by_name("uniform", n, np.random.default_rng(41))
     schedule = _schedule(n, np.random.default_rng(43))
 
-    dense_channel = CachedChannel(params_dense, nodes)
+    # An explicit dense store: past the implicit-store ceiling, CachedChannel
+    # would pick the tiled store on its own.
+    dense_channel = CachedChannel(params_dense, state=NetworkState(nodes))
     tiled_channel = CachedChannel(params_tiled, nodes)
     dense_ws, tiled_ws = DecodeWorkspace(), DecodeWorkspace()
 

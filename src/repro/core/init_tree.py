@@ -37,7 +37,7 @@ from ..exceptions import ProtocolError
 from ..geometry import Node, node_distance_matrix
 from ..links import Link
 from ..runtime import AckMessage, BroadcastMessage, ExecutionTrace, NodeAgent, Simulator, spawn_agent_rngs
-from ..sinr import Channel, ExplicitPower, Reception, SINRParameters, Transmission, UniformPower
+from ..sinr import ExplicitPower, Reception, SINRParameters, UniformPower
 from .bitree import BiTree
 from .quantities import num_rounds_for_delta
 
@@ -125,14 +125,7 @@ class InitAgent(NodeAgent):
 
     # -- protocol -----------------------------------------------------------
 
-    def act(self, slot: int) -> Transmission | None:
-        action = self.act_batch(slot)
-        if action is None:
-            return None
-        power, message = action
-        return Transmission(sender=self.node, power=power, message=message)
-
-    def act_batch(self, slot: int) -> tuple[float, Any] | None:
+    def act(self, slot: int) -> tuple[float, Any] | None:
         phase = self._phase(slot)
         round_index = self._round(slot)
 
@@ -325,9 +318,7 @@ class InitialTreeBuilder:
             )
             for node, agent_rng in zip(node_list, agent_rngs)
         ]
-        # Columnar trace: the slot loop is the hot path and only aggregate
-        # counts (plus on-demand records) are ever read from the result.
-        simulator = Simulator(agents, Channel(self.params), trace_level="columnar")
+        simulator = Simulator(agents, self.params)
 
         rounds_used = 0
         sweeps_used = 0

@@ -3,7 +3,7 @@
 The paper proves its guarantees for a frozen node set under deterministic
 ``P / d**alpha`` path loss; its conclusion names "dynamic situations" as the
 natural extension.  This package opens that scenario space on top of the
-vectorized batch slot engine:
+vectorized slot engine:
 
 * :mod:`~repro.dynamics.gain` - pluggable channel-gain models
   (:class:`DeterministicPathLoss`, :class:`LogNormalShadowing`,

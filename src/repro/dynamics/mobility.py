@@ -8,7 +8,7 @@ feeds those deltas into
 them to the shared :class:`~repro.state.NetworkState`; the state patches the
 moved rows/columns of its distance/attenuation matrices incrementally
 (O(k * capacity) for ``k`` movers instead of an O(n^2) rebuild) and every
-view - the batch slot engine's channel cache, link caches built for
+view - the slot engine's channel cache, link caches built for
 feasibility checks - keeps decoding against up-to-date matrices with no
 rebuild cost.
 

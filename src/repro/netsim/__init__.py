@@ -6,7 +6,7 @@ This package runs the *same* protocol agents over an explicit transport that
 can drop, delay, partition and crash - with every fault drawn from stateless
 counter-hashed randomness, so a fault trace is bit-reproducible across runs,
 scheduling orders and worker counts.  Composed with a perfect transport the
-runtime reduces exactly to the lockstep batch engine, which therefore stays
+runtime reduces exactly to the lockstep engine, which therefore stays
 the oracle for everything the faults perturb.
 
 Layers (bottom up): :mod:`.faults` (seeded fault models), :mod:`.transport`

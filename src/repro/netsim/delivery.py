@@ -27,7 +27,7 @@ from ..exceptions import ConfigurationError, DeliveryTimeout
 from ..geometry import Node
 from ..obs.runtime import OBS
 from ..runtime import AckMessage, DataMessage, NodeAgent
-from ..sinr import Reception, Transmission
+from ..sinr import Reception
 
 __all__ = [
     "AckResponderAgent",
@@ -108,10 +108,6 @@ class ReliableOutbox:
 
     def __len__(self) -> int:
         return len(self._outstanding)
-
-    @property
-    def pending_keys(self) -> list[int]:
-        return sorted(self._outstanding)
 
     def post(self, key: int, payload: Any, dst_id: int, slot: int) -> Any:
         """Register a new reliable send; returns the payload to transmit now."""
@@ -201,13 +197,7 @@ class ReliableSenderAgent(NodeAgent):
         self.acked = 0
         self._next_key = 0
 
-    def act(self, slot: int) -> Transmission | None:
-        action = self.act_batch(slot)
-        if action is None:
-            return None
-        return Transmission(sender=self.node, power=action[0], message=action[1])
-
-    def act_batch(self, slot: int) -> tuple[float, Any] | None:
+    def act(self, slot: int) -> tuple[float, Any] | None:
         due = self.outbox.due(slot, strict=self.strict)
         if due:
             send = due[0]
@@ -248,13 +238,7 @@ class AckResponderAgent(NodeAgent):
         self.received: dict[int, Any] = {}
         self._pending_ack: AckMessage | None = None
 
-    def act(self, slot: int) -> Transmission | None:
-        action = self.act_batch(slot)
-        if action is None:
-            return None
-        return Transmission(sender=self.node, power=action[0], message=action[1])
-
-    def act_batch(self, slot: int) -> tuple[float, Any] | None:
+    def act(self, slot: int) -> tuple[float, Any] | None:
         if self._pending_ack is not None:
             ack = self._pending_ack
             self._pending_ack = None

@@ -130,10 +130,6 @@ class CrashSchedule:
         """Ids of every node down at ``slot``."""
         return frozenset(w.node_id for w in self.windows if w.covers(slot))
 
-    def permanently_crashed_ids(self, horizon_slot: int) -> frozenset[int]:
-        """Nodes still (or again) down at ``horizon_slot``."""
-        return self.crashed_ids(horizon_slot)
-
     @property
     def node_ids(self) -> frozenset[int]:
         """Every node that crashes at least once."""
@@ -248,10 +244,6 @@ class Partition:
         if slot < self.start_slot:
             return False
         return self.end_slot is None or slot < self.end_slot
-
-    def severs(self, src_id: int, dst_id: int, slot: int) -> bool:
-        """Whether the partition cuts the ``src -> dst`` message at ``slot``."""
-        return self.active(slot) and ((src_id in self.left) != (dst_id in self.left))
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from ..exceptions import ConfigurationError, NodeCrashedError, ProtocolError
 from ..geometry import Node, node_distance_matrix
 from ..obs.spans import span
 from ..runtime import ExecutionTrace, spawn_agent_rngs
-from ..sinr import Channel, ExplicitPower, SINRParameters, UniformPower
+from ..sinr import ExplicitPower, SINRParameters, UniformPower
 from .detector import HeartbeatDetector
 from .driver import RoundDriver
 from .faults import FaultPlan
@@ -203,18 +203,7 @@ class NetInitBuilder:
             interval=1,
             miss_threshold=self.miss_threshold,
         )
-        # The plain Channel is upgraded to a CachedChannel by the inherited
-        # Simulator init path: always for n <= MAX_CACHED_CHANNEL_NODES, and
-        # at any n when ``params.store == "tiled"`` (the O(n) tiled geometry
-        # store has no matrix to materialize, so batch index decoding stays
-        # engaged for 50k+ node networks).
-        sim = NetSimulator(
-            agents,
-            Channel(self.params),
-            self._make_transport(),
-            detector=detector,
-            trace_level="columnar",
-        )
+        sim = NetSimulator(agents, self.params, self._make_transport(), detector=detector)
         driver = RoundDriver(sim)
 
         rounds_used = 0

@@ -18,7 +18,7 @@
   drivers act on instead of the lockstep engine's god's-eye agent reads.
 
 Composed with :class:`~repro.netsim.transport.PerfectTransport`, every seam
-reduces to the lockstep batch engine: the same poll order, the same decode
+reduces to the lockstep engine: the same poll order, the same decode
 arithmetic, the same delivery order - so the zero-fault message trace and
 protocol outcome are bit-identical to ``runtime.Simulator`` (the parity
 tests pin this), and the lockstep engine remains the oracle for everything
@@ -41,8 +41,8 @@ from ..exceptions import ConfigurationError
 from ..obs.runtime import OBS
 from ..runtime.agent import NodeAgent
 from ..runtime.simulator import Simulator
-from ..runtime.trace import ExecutionTrace, SlotRecord
-from ..sinr import Channel, Reception
+from ..runtime.trace import ExecutionTrace
+from ..sinr import Reception, SINRParameters
 from .detector import HeartbeatDetector
 from .faults import FaultTrace
 from .transport import PerfectTransport, Transport
@@ -51,29 +51,29 @@ __all__ = ["NetSimulator"]
 
 
 class NetSimulator(Simulator):
-    """Message-passing runtime: the batch slot engine behind a lossy transport.
+    """Message-passing runtime: the slot engine behind a lossy transport.
 
     Args:
         agents: the per-node protocol agents.
-        channel: the SINR channel instance.
+        params: the physical-model parameters of the shared channel.
         transport: delivery policy (drops, delays, crashes, partitions).
         detector: failure detector fed by out-of-band heartbeats; a default
             one monitoring every agent each slot is created if omitted.
         trace: optional pre-existing trace to append to.
-        trace_level: trace backend to create when ``trace`` is ``None``.
     """
+
+    _COUNTERS = ("netsim.slots", "netsim.sends", "netsim.deliveries")
 
     def __init__(
         self,
         agents: Sequence[NodeAgent],
-        channel: Channel,
+        params: SINRParameters,
         transport: Transport | None = None,
         *,
         detector: HeartbeatDetector | None = None,
         trace: ExecutionTrace | None = None,
-        trace_level: str = "records",
     ) -> None:
-        super().__init__(agents, channel, trace, trace_level=trace_level, engine="batch")
+        super().__init__(agents, params, trace)
         self.transport: Transport = transport if transport is not None else PerfectTransport()
         self.detector = (
             detector
@@ -86,6 +86,7 @@ class NetSimulator(Simulator):
                 f"detector monitors ids outside the agent set: {sorted(unknown)[:5]}"
             )
         self._crashed = [False] * len(self.agents)
+        self._pos_by_id = {node_id: i for i, node_id in enumerate(self._node_ids)}
         #: mature slot -> [(sequence, dst position, reception)], FIFO by sequence.
         self._pending: dict[int, list[tuple[int, int, Reception]]] = {}
         self._pending_seq = 0
@@ -135,21 +136,21 @@ class NetSimulator(Simulator):
 
     # -- engine seams --------------------------------------------------------
 
-    def _poll_batch(self, slot: int) -> tuple[list[int], list[float], list[Any]]:
+    def _poll(self, slot: int) -> tuple[list[int], list[float], list[Any]]:
         self._sync_crashes(slot)
         if not any(self._crashed):
-            tx_pos, powers, messages = super()._poll_batch(slot)
+            tx_pos, powers, messages = super()._poll(slot)
         else:
             # Crashed agents are not polled at all: they consume no
             # randomness, transmit nothing and do not listen.
             tx_pos, powers, messages = [], [], []
             listening = self._listening
             listening[:] = True
-            for i, act_batch in enumerate(self._act_batch):
+            for i, act in enumerate(self._act):
                 if self._crashed[i]:
                     listening[i] = False
                     continue
-                action = act_batch(slot)
+                action = act(slot)
                 if action is not None:
                     tx_pos.append(i)
                     powers.append(action[0])
@@ -159,13 +160,16 @@ class NetSimulator(Simulator):
             self.send_budget[self._node_ids[i]] += 1
         return tx_pos, powers, messages
 
-    def _apply_transport(
+    def _decode(
         self,
         slot: int,
-        receptions: list[Reception | None],
-        pairs: list[tuple[int, int]],
+        tx_pos: list[int],
+        powers: list[float],
+        messages: list[Any],
     ) -> tuple[list[Reception | None], list[tuple[int, int]]]:
-        """Filter decoded deliveries through the transport and the queue."""
+        """Channel decode, then the transport and the maturity queue filter
+        which decoded deliveries arrive."""
+        receptions, pairs = super()._decode(slot, tx_pos, powers, messages)
         matured = self._pending.pop(slot, [])
         if pairs:
             dst_ids = np.array([dst for dst, _ in pairs], dtype=np.int64)
@@ -212,13 +216,15 @@ class NetSimulator(Simulator):
             pairs.append((self._node_ids[pos], reception.sender.id))
         return receptions, pairs
 
-    def _deliver_batch(self, slot: int, receptions: list[Reception | None]) -> None:
+    def _deliver(self, slot: int, receptions: list[Reception | None]) -> None:
         for i, (observe, reception) in enumerate(zip(self._observe, receptions)):
             if self._crashed[i]:
                 continue
             observe(slot, reception)
+        self._emit_heartbeats(slot)
 
     def _emit_heartbeats(self, slot: int) -> None:
+        """Out-of-band heartbeats, sent once the slot's deliveries are done."""
         detector = self.detector
         if not detector.expects_heartbeat(slot):
             return
@@ -230,26 +236,6 @@ class NetSimulator(Simulator):
                 detector.observe_miss(node_id, slot)
             else:
                 detector.observe_heartbeat(node_id, slot, done=self.agents[i].is_done())
-
-    def _step_batch(self, label: str) -> SlotRecord | None:
-        slot = self._slot
-        tx_pos, powers, messages = self._poll_batch(slot)
-        receptions, pairs = self._decode_batch(slot, tx_pos, powers, messages)
-        receptions, pairs = self._apply_transport(slot, receptions, pairs)
-        self._deliver_batch(slot, receptions)
-        record = self.trace.append_slot(
-            slot, [self._node_ids[i] for i in tx_pos], pairs, label
-        )
-        if OBS.enabled:
-            registry = OBS.registry
-            registry.inc("netsim.slots")
-            if tx_pos:
-                registry.inc("netsim.sends", len(tx_pos))
-            if pairs:
-                registry.inc("netsim.deliveries", len(pairs))
-        self._slot += 1
-        self._emit_heartbeats(slot)
-        return record
 
     # -- summaries -----------------------------------------------------------
 

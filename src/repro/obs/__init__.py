@@ -10,7 +10,7 @@ One subsystem, five pieces:
   telemetry cost one attribute load;
 * :mod:`~repro.obs.spans` — ``with span("netsim.phase", label=...)``
   context managers and explicit :func:`begin_span`/:func:`end_span` for
-  the batch slot engine;
+  the slot engine;
 * :mod:`~repro.obs.kernels` — :func:`instrument_kernels`, on-demand timing
   wrappers over every ``@hot_kernel`` in ``KERNEL_REGISTRY`` (the identity
   -decorator fast path is untouched until you ask);

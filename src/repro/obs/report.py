@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--experiment",
         default="E13",
-        help="experiment id (E1..E13, F1..F3); default E13",
+        help="experiment id (E1..E14, F1..F3); default E13",
     )
     size = parser.add_mutually_exclusive_group()
     size.add_argument("--quick", action="store_true", help="quick config (the default)")

@@ -3,7 +3,7 @@
 from .agent import NodeAgent
 from .message import AckMessage, BroadcastMessage, DataMessage
 from .simulator import Simulator, spawn_agent_rngs
-from .trace import ColumnarTrace, ExecutionTrace, SlotRecord
+from .trace import ExecutionTrace, SlotRecord
 
 __all__ = [
     "NodeAgent",
@@ -12,7 +12,6 @@ __all__ = [
     "DataMessage",
     "Simulator",
     "spawn_agent_rngs",
-    "ColumnarTrace",
     "ExecutionTrace",
     "SlotRecord",
 ]

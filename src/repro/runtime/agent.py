@@ -14,9 +14,8 @@ from typing import Any
 
 import numpy as np
 
-from ..exceptions import ProtocolError
 from ..geometry import Node
-from ..sinr import Reception, Transmission
+from ..sinr import Reception
 
 __all__ = ["NodeAgent"]
 
@@ -41,33 +40,13 @@ class NodeAgent(ABC):
         return self.node.id
 
     @abstractmethod
-    def act(self, slot: int) -> Transmission | None:
+    def act(self, slot: int) -> tuple[float, Any] | None:
         """Decide the node's action for ``slot``.
 
         Returns:
-            A :class:`Transmission` to send in this slot, or ``None`` to
-            listen.
+            ``(power, message)`` to transmit ``message`` from this agent's
+            node at ``power`` in this slot, or ``None`` to listen.
         """
-
-    def act_batch(self, slot: int) -> tuple[float, Any] | None:
-        """Batch-path action for ``slot``: ``(power, message)`` or ``None``.
-
-        The batch slot engine calls this instead of :meth:`act`, collecting
-        powers straight into arrays without building :class:`Transmission`
-        objects (the sender is this agent's node by construction).  The
-        default delegates to :meth:`act`, so existing agents work unchanged;
-        protocol agents on the hot path override it and implement :meth:`act`
-        as a thin wrapper.  Exactly one of the two is invoked per slot, so
-        both may consume randomness and mutate state.
-        """
-        action = self.act(slot)
-        if action is None:
-            return None
-        if action.sender.id != self.node_id:
-            raise ProtocolError(
-                f"agent {self.node_id} attempted to transmit as node {action.sender.id}"
-            )
-        return action.power, action.message
 
     @abstractmethod
     def observe(self, slot: int, reception: Reception | None) -> None:

@@ -6,26 +6,17 @@ channel, and delivers to every listening agent whatever (if anything) that
 agent decoded.  This is exactly the execution model of the paper: synchronized
 clocks, slotted time, a single shared channel, no carrier sensing.
 
-Two slot engines implement that contract:
-
-* ``engine="batch"`` (default) - agents are polled through
-  :meth:`~repro.runtime.agent.NodeAgent.act_batch`, transmitter/listener
-  indices and powers are collected into arrays, and the channel is resolved
-  through :meth:`~repro.sinr.channel.CachedChannel.resolve_indices` in one
-  vectorized pass that gathers its attenuation/fade blocks from the
-  channel's backing :class:`~repro.state.NetworkState`;
-  :class:`~repro.sinr.Reception` objects are built only for the listeners
-  that decode.  Results are bit-for-bit identical to the seed engine (the
-  decode arithmetic is shared and agents consume the same randomness either
-  way).
-* ``engine="legacy"`` - the seed per-object path (``act`` returning
-  :class:`Transmission`, ``Channel.resolve`` over node objects), kept as the
-  parity oracle and benchmark baseline.
-
-The ``trace_level`` knob selects the trace backend when no trace is passed:
-``"records"`` (seed :class:`ExecutionTrace`), ``"columnar"`` (flat arrays,
-records materialized on demand) or ``"counts"`` (columnar without per-slot
-reception detail).
+A slot is three seams - poll, decode, deliver - composed by :meth:`Simulator
+.step`.  Agents are polled through :meth:`~repro.runtime.agent.NodeAgent.act`,
+transmitter positions and powers are collected into arrays, and the whole
+agent universe is decoded in one vectorized pass through
+:meth:`~repro.sinr.channel.CachedChannel.resolve_indices_full`, which gathers
+its attenuation/fade blocks from the channel's backing geometry store (dense
+or tiled, as :func:`repro.state.build_store` decides); :class:`~repro.sinr
+.Reception` objects are built only for the listeners that decode.  The
+fault-injected message-passing runtime (``repro.netsim``) overrides the seams
+to change who gets polled and which decoded messages actually arrive, while
+reusing the exact decode arithmetic.
 """
 
 from __future__ import annotations
@@ -37,11 +28,11 @@ import numpy as np
 from ..exceptions import ProtocolError
 from ..obs.runtime import OBS
 from ..obs.spans import span
-from ..sinr import MAX_CACHED_CHANNEL_NODES, CachedChannel, Channel, Reception, Transmission
+from ..sinr import CachedChannel, Reception, SINRParameters
 from ..sinr.channel import ensure_positive_powers
 from ..state import DecodeWorkspace
 from .agent import NodeAgent
-from .trace import ColumnarTrace, ExecutionTrace, SlotRecord
+from .trace import ExecutionTrace
 
 __all__ = ["Simulator", "spawn_agent_rngs"]
 
@@ -54,146 +45,78 @@ def spawn_agent_rngs(rng: np.random.Generator, count: int) -> list[np.random.Gen
     return [np.random.default_rng(int(seed)) for seed in seeds]
 
 
-_TRACE_LEVELS = ("records", "columnar", "counts")
-
-
 class Simulator:
     """Runs a collection of agents over a shared SINR channel.
 
     Args:
         agents: the per-node protocol agents.
-        channel: the SINR channel instance.
-        trace: optional pre-existing trace to append to (overrides
-            ``trace_level``).
-        trace_level: trace backend to create when ``trace`` is ``None``:
-            ``"records"``, ``"columnar"`` or ``"counts"``.
-        engine: ``"batch"`` (vectorized slot engine) or ``"legacy"`` (seed
-            per-object path).
+        params: the physical-model parameters of the shared channel.
+        trace: optional pre-existing trace to append to.
     """
+
+    #: Telemetry counters bumped per slot: slots, transmissions, receptions.
+    _COUNTERS = ("sim.slots", "sim.transmissions", "sim.receptions")
 
     def __init__(
         self,
         agents: Sequence[NodeAgent],
-        channel: Channel,
+        params: SINRParameters,
         trace: ExecutionTrace | None = None,
-        *,
-        trace_level: str = "records",
-        engine: str = "batch",
     ):
         ids = [agent.node_id for agent in agents]
         if len(ids) != len(set(ids)):
             raise ProtocolError("duplicate node ids among agents")
-        if engine not in ("batch", "legacy"):
-            raise ValueError(f"unknown engine {engine!r}")
-        if trace_level not in _TRACE_LEVELS:
-            raise ValueError(f"unknown trace_level {trace_level!r}, expected one of {_TRACE_LEVELS}")
         self.agents: list[NodeAgent] = list(agents)
-        # The agent set is fixed for the simulator's lifetime, so a plain
-        # channel is upgraded to one viewing a NetworkState over the agents'
-        # nodes - the store that owns the O(n^2) distance/attenuation
-        # matrices every slot's decode gathers from (bounded by
-        # MAX_CACHED_CHANNEL_NODES); subclassed channels are left untouched.
-        # Under store="tiled" the upgrade is unconditional: the tiled state
-        # is O(n), so there is no node-count ceiling to respect - this is
-        # the init path (NetSimulator included, via inheritance) that lets
-        # n >= 50k runs keep the batch decode engine.
-        if type(channel) is Channel and (
-            len(self.agents) <= MAX_CACHED_CHANNEL_NODES or channel.params.store == "tiled"
-        ):
-            channel = CachedChannel(channel.params, [agent.node for agent in self.agents])
-        self.channel = channel
-        if trace is None:
-            if trace_level == "records":
-                trace = ExecutionTrace()
-            else:
-                trace = ColumnarTrace(reception_detail=(trace_level == "columnar"))
-        self.trace = trace
-        self._engine = engine
+        # The agent set is fixed for the simulator's lifetime, so the channel
+        # views one geometry store over the agents' nodes, in agent order:
+        # agent position == channel cache index.
+        self._nodes = [agent.node for agent in self.agents]
+        self.channel = CachedChannel(params, self._nodes)
+        self.trace = trace if trace is not None else ExecutionTrace()
         self._slot = 0
         self._node_ids: list[int] = ids
-        self._pos_by_id: dict[int, int] = {node_id: i for i, node_id in enumerate(ids)}
-        # Hot-loop hoists: the agent set is fixed for the simulator's
-        # lifetime, so bound methods and nodes are captured once instead of
-        # being looked up per agent per slot.
-        self._nodes = [agent.node for agent in self.agents]
-        self._act_batch = [agent.act_batch for agent in self.agents]
+        # Hot-loop hoists: bound methods are captured once instead of being
+        # looked up per agent per slot.
+        self._act = [agent.act for agent in self.agents]
         self._observe = [agent.observe for agent in self.agents]
         self._listening = np.empty(len(self.agents), dtype=bool)
-        # Index of each agent's node in the channel's distance cache, when the
-        # channel is exactly a CachedChannel covering every agent (a subclass
-        # may override `resolve`, so it must keep going through the object
-        # path).
-        self._cache_idx: np.ndarray | None = None
-        self._full_universe = False
-        # Scratch arena for the batch decode: every slot's gathered blocks,
+        # Scratch arena for the decode: every slot's gathered blocks,
         # received-power matrix and per-listener vectors live in these
         # reused buffers (results are consumed within the slot, so the
         # view-until-next-decode contract holds by construction).
-        self._workspace = DecodeWorkspace() if engine == "batch" else None
-        if engine == "batch" and type(self.channel) is CachedChannel:
-            try:
-                self._cache_idx = np.array(
-                    [self.channel.cache.index_of_id(node_id) for node_id in ids], dtype=np.intp
-                )
-            except KeyError:
-                self._cache_idx = None
-            else:
-                # Agent position == cache index (the simulator built the
-                # channel itself, or an identical universe was passed): the
-                # decode can run against all columns with a cheap row gather
-                # and mask transmitters afterwards.
-                self._full_universe = len(self.channel.cache) == len(ids) and bool(
-                    np.array_equal(self._cache_idx, np.arange(len(ids)))
-                )
+        self._workspace = DecodeWorkspace()
 
     @property
     def current_slot(self) -> int:
         """Index of the next slot to execute."""
         return self._slot
 
-    def _resolve_objects(
-        self, transmissions: list[Transmission], listeners: list, slot: int
-    ) -> dict[int, Reception]:
-        """Object-path channel resolution, forwarding the slot when needed.
+    def step(self, label: str = "") -> None:
+        """Execute one slot."""
+        slot = self._slot
+        tx_pos, powers, messages = self._poll(slot)
+        receptions, pairs = self._decode(slot, tx_pos, powers, messages)
+        self._deliver(slot, receptions)
+        self.trace.append_slot(slot, [self._node_ids[i] for i in tx_pos], pairs, label)
+        if OBS.enabled:
+            registry = OBS.registry
+            slots, transmissions, received = self._COUNTERS
+            registry.inc(slots)
+            if tx_pos:
+                registry.inc(transmissions, len(tx_pos))
+            if pairs:
+                registry.inc(received, len(pairs))
+        self._slot += 1
 
-        The slot index is passed only when the channel's parameters carry a
-        *stochastic* gain model (slot-dependent fading); custom channels that
-        override ``resolve`` with the classic two-argument signature keep
-        working unchanged under the deterministic model (including an
-        explicit ``DeterministicPathLoss``).
-        """
-        if self.channel.params.effective_gain_model is not None:
-            return self.channel.resolve(transmissions, listeners, slot)
-        return self.channel.resolve(transmissions, listeners)
-
-    def step(self, label: str = "") -> SlotRecord | None:
-        """Execute one slot.
-
-        Returns the slot's :class:`SlotRecord` when the trace backend stores
-        records, ``None`` under a columnar trace (which does not materialize
-        per-slot objects).
-        """
-        if self._engine == "legacy":
-            return self._step_legacy(label)
-        return self._step_batch(label)
-
-    # -- batch engine --------------------------------------------------------
-    #
-    # The batch step is split into three seams - poll, decode, deliver - so
-    # that alternative engines (the fault-injected message-passing runtime in
-    # ``repro.netsim``) can reuse the exact decode arithmetic while changing
-    # who gets polled and which decoded messages actually arrive.  Composed
-    # unchanged, the seams are bit-identical to the original monolithic step.
-
-    def _poll_batch(self, slot: int) -> tuple[list[int], list[float], list[Any]]:
+    def _poll(self, slot: int) -> tuple[list[int], list[float], list[Any]]:
         """Poll every agent for the slot; fills ``self._listening`` in place."""
         tx_pos: list[int] = []
         powers: list[float] = []
         messages: list[Any] = []
         listening = self._listening
         listening[:] = True
-        for i, act_batch in enumerate(self._act_batch):
-            action = act_batch(slot)
+        for i, act in enumerate(self._act):
+            action = act(slot)
             if action is not None:
                 tx_pos.append(i)
                 powers.append(action[0])
@@ -201,7 +124,7 @@ class Simulator:
                 listening[i] = False
         return tx_pos, powers, messages
 
-    def _decode_batch(
+    def _decode(
         self,
         slot: int,
         tx_pos: list[int],
@@ -215,130 +138,39 @@ class Simulator:
         """
         node_ids = self._node_ids
         nodes = self._nodes
-        n = len(nodes)
-        listening = self._listening
-
-        receptions: list[Reception | None] = [None] * n
+        receptions: list[Reception | None] = [None] * len(nodes)
         pairs: list[tuple[int, int]] = []
-        if tx_pos:
-            # Validate before branching so a non-positive power raises even
-            # in slots with no listeners, exactly like the legacy engine
-            # (where Transmission.__post_init__ runs for every action).
-            power_arr = np.array(powers, dtype=float)
-            ensure_positive_powers(power_arr)
-        if tx_pos and len(tx_pos) < n:
-            if self._full_universe:
-                tx_arr = np.array(tx_pos, dtype=np.intp)
-                best, sinr, ok = self.channel.resolve_indices_full(
-                    tx_arr, power_arr, slot=slot, workspace=self._workspace
-                )
-                # Half-duplex: transmitter columns never decode.
-                for pos in np.nonzero(ok & listening)[0].tolist():
-                    b = int(best[pos])
-                    src = tx_pos[b]
-                    receptions[pos] = Reception(
-                        sender=nodes[src], message=messages[b], sinr=float(sinr[pos])
-                    )
-                    pairs.append((node_ids[pos], node_ids[src]))
-            elif self._cache_idx is not None:
-                tx_arr = np.array(tx_pos, dtype=np.intp)
-                rx_arr = np.nonzero(listening)[0]
-                best, sinr, ok = self.channel.resolve_indices(
-                    self._cache_idx[tx_arr],
-                    self._cache_idx[rx_arr],
-                    power_arr,
-                    slot=slot,
-                    workspace=self._workspace,
-                )
-                for j in np.nonzero(ok)[0].tolist():
-                    b = int(best[j])
-                    src = tx_pos[b]
-                    pos = int(rx_arr[j])
-                    receptions[pos] = Reception(
-                        sender=nodes[src], message=messages[b], sinr=float(sinr[j])
-                    )
-                    pairs.append((node_ids[pos], node_ids[src]))
-            else:
-                # Custom channel (or agents outside the cache): go through the
-                # node-object protocol so overridden `resolve` semantics hold.
-                transmissions = [
-                    Transmission(sender=nodes[i], power=power, message=message)
-                    for i, power, message in zip(tx_pos, powers, messages)
-                ]
-                listeners = [nodes[i] for i in np.nonzero(listening)[0].tolist()]
-                resolved = self._resolve_objects(transmissions, listeners, slot)
-                for node_id, reception in resolved.items():
-                    pos = self._pos_by_id[node_id]
-                    receptions[pos] = reception
-                    pairs.append((node_id, reception.sender.id))
+        if not tx_pos:
+            return receptions, pairs
+        # Validate before the listener check so a non-positive power raises
+        # even in a slot where every agent transmits.
+        power_arr = np.array(powers, dtype=float)
+        ensure_positive_powers(power_arr)
+        if len(tx_pos) == len(nodes):
+            return receptions, pairs
+        best, sinr, ok = self.channel.resolve_indices_full(
+            np.array(tx_pos, dtype=np.intp), power_arr, slot=slot, workspace=self._workspace
+        )
+        # Half-duplex: transmitter columns never decode.
+        for pos in np.nonzero(ok & self._listening)[0].tolist():
+            b = int(best[pos])
+            src = tx_pos[b]
+            receptions[pos] = Reception(
+                sender=nodes[src], message=messages[b], sinr=float(sinr[pos])
+            )
+            pairs.append((node_ids[pos], node_ids[src]))
         return receptions, pairs
 
-    def _deliver_batch(self, slot: int, receptions: list[Reception | None]) -> None:
+    def _deliver(self, slot: int, receptions: list[Reception | None]) -> None:
         """Deliver the slot outcome to every agent, in agent order."""
         for observe, reception in zip(self._observe, receptions):
             observe(slot, reception)
-
-    def _step_batch(self, label: str) -> SlotRecord | None:
-        slot = self._slot
-        tx_pos, powers, messages = self._poll_batch(slot)
-        receptions, pairs = self._decode_batch(slot, tx_pos, powers, messages)
-        self._deliver_batch(slot, receptions)
-        record = self.trace.append_slot(
-            slot, [self._node_ids[i] for i in tx_pos], pairs, label
-        )
-        if OBS.enabled:
-            registry = OBS.registry
-            registry.inc("sim.slots")
-            if tx_pos:
-                registry.inc("sim.transmissions", len(tx_pos))
-            if pairs:
-                registry.inc("sim.receptions", len(pairs))
-        self._slot += 1
-        return record
-
-    # -- legacy engine (seed path, parity oracle) ----------------------------
-
-    def _step_legacy(self, label: str) -> SlotRecord | None:
-        transmissions: list[Transmission] = []
-        transmitter_ids: list[int] = []
-        listeners = []
-        for agent in self.agents:
-            action = agent.act(self._slot)
-            if action is None:
-                listeners.append(agent.node)
-            else:
-                if action.sender.id != agent.node_id:
-                    raise ProtocolError(
-                        f"agent {agent.node_id} attempted to transmit as node {action.sender.id}"
-                    )
-                transmissions.append(action)
-                transmitter_ids.append(agent.node_id)
-
-        receptions = self._resolve_objects(transmissions, listeners, self._slot)
-        for agent in self.agents:
-            agent.observe(self._slot, receptions.get(agent.node_id))
-
-        record = self.trace.append_slot(
-            self._slot,
-            transmitter_ids,
-            [(listener, rec.sender.id) for listener, rec in receptions.items()],
-            label,
-        )
-        if OBS.enabled:
-            registry = OBS.registry
-            registry.inc("sim.slots")
-            if transmitter_ids:
-                registry.inc("sim.transmissions", len(transmitter_ids))
-            if receptions:
-                registry.inc("sim.receptions", len(receptions))
-        self._slot += 1
-        return record
 
     def run(self, slots: int, label: str = "") -> ExecutionTrace:
         """Execute a fixed number of slots."""
         if slots < 0:
             raise ValueError("slots must be non-negative")
-        with span("sim.run", slots=slots, label=label, engine=self._engine):
+        with span("sim.run", slots=slots, label=label):
             for _ in range(slots):
                 self.step(label)
         return self.trace

@@ -1,27 +1,18 @@
 """Execution traces and slot accounting for distributed runs.
 
-Two trace backends share one API:
-
-* :class:`ExecutionTrace` - the seed record-based store: one
-  :class:`SlotRecord` (tuple of transmitter ids + reception dict) per slot.
-* :class:`ColumnarTrace` - a columnar store: flat integer arrays plus
-  per-slot offsets.  Appending a slot touches no per-slot Python containers,
-  which is what the batch slot engine needs; the ``records`` /
-  ``slots_used`` / ``busy_slots`` API is preserved on top by materializing
-  :class:`SlotRecord` views on demand.  With ``reception_detail=False``
-  ("counts" level) only per-slot transmission/reception counts are kept,
-  for experiments that never read individual receptions.
+:class:`ExecutionTrace` is a columnar store: flat integer arrays plus
+per-slot offsets.  Appending a slot touches no per-slot Python containers,
+which is what the slot engine needs; :class:`SlotRecord` views are
+materialized on demand for the readers that want them.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Iterable, Sequence
-
-__all__ = ["SlotRecord", "ExecutionTrace", "ColumnarTrace"]
-
-
 from dataclasses import dataclass
+from typing import Any, Sequence
+
+__all__ = ["SlotRecord", "ExecutionTrace"]
 
 
 @dataclass(frozen=True)
@@ -42,116 +33,33 @@ class SlotRecord:
 
 
 class ExecutionTrace:
-    """Accumulated record of a simulated protocol execution (record store)."""
-
-    __slots__ = ('metadata', 'records')
-
-    def __init__(
-        self,
-        records: Iterable[SlotRecord] | None = None,
-        metadata: dict[str, Any] | None = None,
-    ):
-        self.records: list[SlotRecord] = list(records) if records is not None else []
-        self.metadata: dict[str, Any] = dict(metadata) if metadata is not None else {}
-
-    def record(self, record: SlotRecord) -> None:
-        """Append one slot record."""
-        self.records.append(record)
-
-    def append_slot(
-        self,
-        slot: int,
-        transmitter_ids: Sequence[int],
-        reception_pairs: Sequence[tuple[int, int]],
-        label: str = "",
-    ) -> SlotRecord | None:
-        """Append one slot from its components (the slot engine's entry point).
-
-        Returns the stored :class:`SlotRecord`; columnar backends return
-        ``None`` instead of materializing one.
-        """
-        record = SlotRecord(
-            slot=slot,
-            transmitters=tuple(transmitter_ids),
-            receptions=dict(reception_pairs),
-            label=label,
-        )
-        self.record(record)
-        return record
-
-    @property
-    def slots_used(self) -> int:
-        """Total number of slots recorded."""
-        return len(self.records)
-
-    @property
-    def transmissions_sent(self) -> int:
-        """Total number of individual transmissions across all slots."""
-        return sum(len(r.transmitters) for r in self.records)
-
-    @property
-    def successful_receptions(self) -> int:
-        """Total number of successful receptions across all slots."""
-        return sum(len(r.receptions) for r in self.records)
-
-    def busy_slots(self) -> int:
-        """Number of slots in which at least one node transmitted."""
-        return sum(1 for r in self.records if r.transmitters)
-
-    def slots_with_label(self, label: str) -> list[SlotRecord]:
-        """All slot records carrying the given label."""
-        return [r for r in self.records if r.label == label]
-
-    def summary(self) -> dict[str, Any]:
-        """Compact summary used by experiment reports."""
-        return {
-            "slots_used": self.slots_used,
-            "busy_slots": self.busy_slots(),
-            "transmissions_sent": self.transmissions_sent,
-            "successful_receptions": self.successful_receptions,
-            **self.metadata,
-        }
-
-
-class ColumnarTrace(ExecutionTrace):
-    """Columnar trace backend: flat id arrays plus per-slot offsets.
+    """Accumulated record of a simulated protocol execution.
 
     Args:
-        metadata: free-form experiment metadata, as on :class:`ExecutionTrace`.
-        reception_detail: when ``False``, individual transmitter/listener ids
-            are dropped and only per-slot counts are kept (``trace_level
-            ="counts"``); ``records`` and ``slots_with_label`` are then
-            unavailable, but every aggregate (``slots_used``, ``busy_slots``,
-            ``transmissions_sent``, ``successful_receptions``, ``summary``)
-            still works.
+        metadata: free-form experiment metadata, merged into :meth:`summary`.
     """
 
-    def __init__(
-        self,
-        metadata: dict[str, Any] | None = None,
-        *,
-        reception_detail: bool = True,
-    ):
-        # Deliberately no super().__init__(): `records` is a materialized
-        # property here, not storage.
+    __slots__ = (
+        "_labels",
+        "_materialized",
+        "_rx_listeners",
+        "_rx_offsets",
+        "_rx_senders",
+        "_slots",
+        "_tx_flat",
+        "_tx_offsets",
+        "metadata",
+    )
+
+    def __init__(self, metadata: dict[str, Any] | None = None):
         self.metadata: dict[str, Any] = dict(metadata) if metadata is not None else {}
-        self.reception_detail = reception_detail
         self._slots = array("q")
         self._labels: list[str] = []
-        self._tx_counts = array("q")
-        self._rx_counts = array("q")
-        if reception_detail:
-            self._tx_flat: array | None = array("q")
-            self._tx_offsets: array | None = array("q", [0])
-            self._rx_listeners: array | None = array("q")
-            self._rx_senders: array | None = array("q")
-            self._rx_offsets: array | None = array("q", [0])
-        else:
-            self._tx_flat = None
-            self._tx_offsets = None
-            self._rx_listeners = None
-            self._rx_senders = None
-            self._rx_offsets = None
+        self._tx_flat = array("q")
+        self._tx_offsets = array("q", [0])
+        self._rx_listeners = array("q")
+        self._rx_senders = array("q")
+        self._rx_offsets = array("q", [0])
         self._materialized: list[SlotRecord] | None = None
 
     # -- writing -------------------------------------------------------------
@@ -163,19 +71,19 @@ class ColumnarTrace(ExecutionTrace):
         reception_pairs: Sequence[tuple[int, int]],
         label: str = "",
     ) -> None:
+        """Append one slot from its components (the slot engine's entry point).
+
+        ``reception_pairs`` holds ``(listener id, sender id)`` pairs.
+        """
         self._slots.append(slot)
         self._labels.append(label)
-        self._tx_counts.append(len(transmitter_ids))
-        self._rx_counts.append(len(reception_pairs))
-        if self.reception_detail:
-            self._tx_flat.extend(transmitter_ids)
-            self._tx_offsets.append(len(self._tx_flat))
-            for listener_id, sender_id in reception_pairs:
-                self._rx_listeners.append(listener_id)
-                self._rx_senders.append(sender_id)
-            self._rx_offsets.append(len(self._rx_listeners))
+        self._tx_flat.extend(transmitter_ids)
+        self._tx_offsets.append(len(self._tx_flat))
+        for listener_id, sender_id in reception_pairs:
+            self._rx_listeners.append(listener_id)
+            self._rx_senders.append(sender_id)
+        self._rx_offsets.append(len(self._rx_listeners))
         self._materialized = None
-        return None
 
     def record(self, record: SlotRecord) -> None:
         """Append one :class:`SlotRecord` by decomposing it into columns."""
@@ -188,12 +96,6 @@ class ColumnarTrace(ExecutionTrace):
     @property
     def records(self) -> list[SlotRecord]:
         """Materialized :class:`SlotRecord` view of the columns (cached)."""
-        if not self.reception_detail:
-            raise ValueError(
-                "this trace was collected with trace_level='counts' and retains "
-                "no per-slot transmitter/reception detail; use the aggregate "
-                "properties or collect with trace_level='columnar'"
-            )
         if self._materialized is None:
             records = []
             for k in range(len(self._slots)):
@@ -214,18 +116,34 @@ class ColumnarTrace(ExecutionTrace):
 
     @property
     def slots_used(self) -> int:
+        """Total number of slots recorded."""
         return len(self._slots)
 
     @property
     def transmissions_sent(self) -> int:
-        return int(sum(self._tx_counts))
+        """Total number of individual transmissions across all slots."""
+        return len(self._tx_flat)
 
     @property
     def successful_receptions(self) -> int:
-        return int(sum(self._rx_counts))
+        """Total number of successful receptions across all slots."""
+        return len(self._rx_listeners)
 
     def busy_slots(self) -> int:
-        return sum(1 for count in self._tx_counts if count)
+        """Number of slots in which at least one node transmitted."""
+        offsets = self._tx_offsets
+        return sum(1 for k in range(len(self._slots)) if offsets[k + 1] > offsets[k])
 
     def slots_with_label(self, label: str) -> list[SlotRecord]:
+        """All slot records carrying the given label."""
         return [r for r in self.records if r.label == label]
+
+    def summary(self) -> dict[str, Any]:
+        """Compact summary used by experiment reports."""
+        return {
+            "slots_used": self.slots_used,
+            "busy_slots": self.busy_slots(),
+            "transmissions_sent": self.transmissions_sent,
+            "successful_receptions": self.successful_receptions,
+            **self.metadata,
+        }

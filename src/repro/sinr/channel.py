@@ -42,7 +42,7 @@ import numpy as np
 from .._types import DecodeTriple, FloatArray
 from ..contracts import hot_kernel
 from ..geometry import Node
-from ..state import DecodeWorkspace, NetworkState, TiledNetworkState
+from ..state import DecodeWorkspace, NetworkState, build_store
 from .arrays import NodeArrayCache
 from .parameters import SINRParameters
 
@@ -51,7 +51,6 @@ __all__ = [
     "Reception",
     "Channel",
     "CachedChannel",
-    "MAX_CACHED_CHANNEL_NODES",
     "decode_arrays",
     "decode_many",
     "decode_reference",
@@ -317,7 +316,13 @@ def decode_reference(
     params: SINRParameters,
     fade: np.ndarray | None = None,
 ) -> dict[int, Reception]:
-    """The seed per-listener decode loop, kept as the parity/benchmark oracle."""
+    """The seed per-listener decode loop, kept as the parity/benchmark oracle.
+
+    A colocated sender (distance 0) has infinite received power.  The
+    listener's interference is then ``inf - inf = nan``, the threshold test
+    fails, and the listener decodes nothing: that is the defined outcome, so
+    the ``invalid`` floating-point flag it raises is silenced.
+    """
     with np.errstate(divide="ignore"):
         received = powers[:, None] / np.maximum(dist, 1e-300) ** params.alpha
     received = np.where(dist <= 0, np.inf, received)
@@ -326,17 +331,18 @@ def decode_reference(
 
     total = received.sum(axis=0) + params.noise
     results: dict[int, Reception] = {}
-    for j, listener in enumerate(active_listeners):
-        signals = received[:, j]
-        best = int(np.argmax(signals))
-        interference = total[j] - signals[best]
-        if interference <= 0:
-            sinr = np.inf
-        else:
-            sinr = float(signals[best] / interference)
-        if sinr >= params.beta:
-            t = transmissions[best]
-            results[listener.id] = Reception(sender=t.sender, message=t.message, sinr=sinr)
+    with np.errstate(invalid="ignore"):
+        for j, listener in enumerate(active_listeners):
+            signals = received[:, j]
+            best = int(np.argmax(signals))
+            interference = total[j] - signals[best]
+            if interference <= 0:
+                sinr = np.inf
+            else:
+                sinr = float(signals[best] / interference)
+            if sinr >= params.beta:
+                t = transmissions[best]
+                results[listener.id] = Reception(sender=t.sender, message=t.message, sinr=sinr)
     return results
 
 
@@ -702,13 +708,6 @@ class Channel:
         return np.hypot(xy[:, 0] - receiver.x, xy[:, 1] - receiver.y)
 
 
-# Node count above which the O(n^2) cached matrices are not worth their
-# memory (8 bytes * n^2 each for the distance matrix plus one attenuation
-# matrix per alpha queried; 2048 nodes ~ 33 MB per matrix, typically ~66 MB
-# total).  Upgrade sites consult this.
-MAX_CACHED_CHANNEL_NODES = 2048
-
-
 class CachedChannel(Channel):
     """Channel over a *fixed node universe*, backed by cached distances.
 
@@ -722,7 +721,9 @@ class CachedChannel(Channel):
     Args:
         params: the physical-model parameters.
         nodes: the node universe (e.g. all simulator agents' nodes, or every
-            endpoint of a link set being scheduled).
+            endpoint of a link set being scheduled); its store is chosen by
+            :func:`repro.state.build_store` from ``params.store`` and the
+            node count.
         cache: an existing :class:`NodeArrayCache` over the same universe to
             share instead of building a new one - several channels with
             different parameters (e.g. one per gain model under study) can
@@ -751,13 +752,8 @@ class CachedChannel(Channel):
                 raise ValueError(
                     "CachedChannel needs a node universe: pass nodes, cache or state"
                 )
-            elif params.store == "tiled":
-                # The store switch: an O(n) tiled state instead of the dense
-                # O(n^2) matrices.  Decode rectangles stay bitwise-equal to
-                # the dense gather, so this channel's results are identical.
-                cache = NodeArrayCache(state=TiledNetworkState(nodes))
             else:
-                cache = NodeArrayCache(nodes)
+                cache = NodeArrayCache(state=build_store(nodes, params.store))
         elif state is not None and cache.state is not state:
             raise ValueError("pass either cache or state, not both")
         self.cache = cache

@@ -43,7 +43,9 @@ class SINRParameters:
             this parameter bundle stay valid.
         store: geometry-store selector, ``"dense"`` (default) or
             ``"tiled"``.  Dense materializes the exact O(n^2) matrices and
-            stays the parity oracle at small n; tiled
+            stays the parity oracle at small n (stores built on a caller's
+            behalf go tiled past 2048 nodes, see
+            :func:`repro.state.build_store`); tiled
             (:class:`repro.state.TiledNetworkState`) is O(n), exact inside
             the near radius with tile-aggregated far fields, and is what
             unlocks n >= 50k runs.  The model arithmetic is identical under

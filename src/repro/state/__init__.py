@@ -8,8 +8,10 @@ universe and supports O(damage) incremental add/remove/move; the caches of
 instead of rebuilding per event.  :class:`TiledNetworkState` is the sparse
 sibling selected by ``store="tiled"``: O(n) memory, exact near-field
 rectangles and tile-aggregated far fields, for populations the dense
-matrices cannot hold.  :class:`DecodeWorkspace` provides the scratch arenas
-the decode kernels reuse instead of allocating per slot, and
+matrices cannot hold; :func:`build_store` makes the one dense/tiled
+decision for every store built on a caller's behalf.
+:class:`DecodeWorkspace` provides the scratch arenas the decode kernels
+reuse instead of allocating per slot, and
 :mod:`repro.state.shared` exports a state's arrays through POSIX shared
 memory so worker processes read them zero-copy.
 """
@@ -22,9 +24,10 @@ from .kernels import (
     pairwise_distances,
     tile_codes,
 )
-from .network import NetworkState
+from .network import NetworkState, link_endpoints
 from .scratch import DecodeWorkspace
 from .shared import SharedStateSpec, StateExport, attach_state, export_state
+from .store import build_store
 from .tiled import (
     DEFAULT_TILE_BUDGET_BYTES,
     PeakHoldEstimator,
@@ -36,6 +39,8 @@ from .tiled import (
 __all__ = [
     "NetworkState",
     "TiledNetworkState",
+    "build_store",
+    "link_endpoints",
     "TileGrid",
     "PeakHoldEstimator",
     "DEFAULT_TILE_BUDGET_BYTES",

@@ -42,7 +42,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (dynamics/links use s
     from ..dynamics.gain import GainModel
     from ..links import Link
 
-__all__ = ["NetworkState"]
+__all__ = ["NetworkState", "link_endpoints"]
+
+
+def link_endpoints(links: Iterable["Link"]) -> list[Node]:
+    """Unique endpoints of a link collection, deduplicated by node id in
+    first-appearance order (sender before receiver, per link)."""
+    endpoints: dict[int, Node] = {}
+    for link in links:
+        endpoints.setdefault(link.sender.id, link.sender)
+        endpoints.setdefault(link.receiver.id, link.receiver)
+    return list(endpoints.values())
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -174,17 +184,9 @@ class NetworkState:
 
     @classmethod
     def from_links(cls, links: Iterable["Link"], *, capacity: int | None = None) -> "NetworkState":
-        """State over the unique endpoints of a link collection.
-
-        Endpoints are deduplicated by node id in first-appearance order
-        (sender before receiver, per link).  This is the one implementation
-        of the endpoint-collection idiom every link-driven consumer uses.
-        """
-        endpoints: dict[int, Node] = {}
-        for link in links:
-            endpoints.setdefault(link.sender.id, link.sender)
-            endpoints.setdefault(link.receiver.id, link.receiver)
-        return cls(endpoints.values(), capacity=capacity)
+        """State over the unique endpoints of a link collection
+        (see :func:`link_endpoints`)."""
+        return cls(link_endpoints(links), capacity=capacity)
 
     # -- membership ----------------------------------------------------------
 

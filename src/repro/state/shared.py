@@ -63,15 +63,6 @@ class SharedStateSpec:
     #: meaningful when ``store == "tiled"``.
     tile: tuple[float, int, int] | None = None
 
-    @property
-    def block_names(self) -> tuple[str, ...]:
-        """Names of every shared-memory block the spec references."""
-        names = [self.xy.name, self.ids.name]
-        if self.distances is not None:
-            names.append(self.distances.name)
-        names.extend(spec.name for _, spec in self.attenuation)
-        return tuple(names)
-
 
 def _export_array(array: np.ndarray, label: str) -> tuple[SharedArraySpec, shared_memory.SharedMemory]:
     """Copy one array into a fresh shared-memory block."""

@@ -29,6 +29,7 @@ from repro.sinr import (
 from repro.sinr.channel import decode_reference
 
 from .conftest import make_node
+from .oracles import LegacySimulator
 
 
 class TestModelProperties:
@@ -193,23 +194,17 @@ class TestDeterministicParity:
 
 
 class _Beacon(NodeAgent):
-    """Deterministic beacon agent used for fading-channel engine parity."""
+    """Deterministic beacon agent used for fading-channel oracle parity."""
 
     def __init__(self, node, rng, power):
         super().__init__(node, rng)
         self.power = power
         self.heard: list[tuple[int, int]] = []
 
-    def act_batch(self, slot):
+    def act(self, slot):
         if slot % 5 == self.node_id % 5:
             return self.power, ("b", self.node_id)
         return None
-
-    def act(self, slot):
-        action = self.act_batch(slot)
-        if action is None:
-            return None
-        return Transmission(self.node, action[0], action[1])
 
     def observe(self, slot, reception):
         if reception is not None:
@@ -217,12 +212,15 @@ class _Beacon(NodeAgent):
 
 
 class TestFadingChannel:
-    def _run(self, params, engine, slots=60, n=24):
+    def _run(self, params, engine="simulator", slots=60, n=24):
         nodes = uniform_random(n, np.random.default_rng(42))
         rngs = spawn_agent_rngs(np.random.default_rng(43), n)
         power = params.min_power_for(2.0)
         agents = [_Beacon(node, rng, power) for node, rng in zip(nodes, rngs)]
-        simulator = Simulator(agents, Channel(params), engine=engine)
+        if engine == "legacy":
+            simulator = LegacySimulator(agents, Channel(params))
+        else:
+            simulator = Simulator(agents, params)
         simulator.run(slots)
         return [agent.heard for agent in agents], simulator.trace
 
@@ -233,21 +231,22 @@ class TestFadingChannel:
     )
     def test_batch_and_legacy_engines_agree_under_fading(self, params, model):
         faded = params.with_overrides(gain_model=model)
-        batch, _ = self._run(faded, "batch")
-        legacy, _ = self._run(faded, "legacy")
+        batch, batch_trace = self._run(faded)
+        legacy, legacy_trace = self._run(faded, "legacy")
         assert batch == legacy
+        assert batch_trace.records == legacy_trace.records
 
     def test_same_seed_reproduces_trace(self, params):
         faded = params.with_overrides(gain_model=RayleighFading(seed=11))
-        a, trace_a = self._run(faded, "batch")
-        b, trace_b = self._run(faded, "batch")
+        a, trace_a = self._run(faded)
+        b, trace_b = self._run(faded)
         assert a == b
         assert trace_a.successful_receptions == trace_b.successful_receptions
 
     def test_fading_changes_outcomes(self, params):
-        plain, _ = self._run(params, "batch")
+        plain, _ = self._run(params)
         faded, _ = self._run(
-            params.with_overrides(gain_model=RayleighFading(seed=11)), "batch"
+            params.with_overrides(gain_model=RayleighFading(seed=11))
         )
         assert plain != faded
 

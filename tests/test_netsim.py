@@ -31,7 +31,7 @@ from repro.netsim import (
     RetryPolicy,
     RoundDriver,
 )
-from repro.sinr import Channel, SINRParameters
+from repro.sinr import SINRParameters
 
 from .conftest import make_node
 
@@ -58,9 +58,7 @@ def _reliable_pair(plan=None, *, payloads=3, policy=None, strict=True, detector=
     )
     receiver = AckResponderAgent(receiver_node, rngs[1], power=LINK_POWER)
     transport = PerfectTransport() if plan is None else FaultyTransport(plan)
-    sim = NetSimulator(
-        [sender, receiver], Channel(PARAMS), transport, detector=detector
-    )
+    sim = NetSimulator([sender, receiver], PARAMS, transport, detector=detector)
     return sender, receiver, sim
 
 
@@ -252,11 +250,7 @@ class TestNetSimulatorSemantics:
             for i, node in enumerate(nodes)
         ]
         with pytest.raises(ConfigurationError):
-            NetSimulator(
-                agents,
-                Channel(PARAMS),
-                detector=HeartbeatDetector([99]),
-            )
+            NetSimulator(agents, PARAMS, detector=HeartbeatDetector([99]))
 
 
 class TestReliableOutbox:

@@ -16,7 +16,7 @@ from repro.runtime import (
     SlotRecord,
     spawn_agent_rngs,
 )
-from repro.sinr import Channel, Reception, SINRParameters, Transmission
+from repro.sinr import Reception
 
 from .conftest import make_node
 
@@ -32,7 +32,7 @@ class _BeaconAgent(NodeAgent):
 
     def act(self, slot: int):
         if self.transmit and slot % 2 == 0:
-            return Transmission(self.node, self.power, BroadcastMessage(self.node))
+            return self.power, BroadcastMessage(self.node)
         return None
 
     def observe(self, slot: int, reception: Reception | None) -> None:
@@ -52,7 +52,7 @@ def _make_simulator(params) -> tuple[Simulator, list[_BeaconAgent]]:
         _BeaconAgent(nodes[1], rngs[1], power, transmit=False),
         _BeaconAgent(nodes[2], rngs[2], power, transmit=False),
     ]
-    return Simulator(agents, Channel(params)), agents
+    return Simulator(agents, params), agents
 
 
 class TestMessages:
@@ -91,7 +91,8 @@ class TestSpawnRngs:
 class TestSimulator:
     def test_step_delivers_receptions(self, params):
         simulator, agents = _make_simulator(params)
-        record = simulator.step(label="beacon")
+        simulator.step(label="beacon")
+        (record,) = simulator.trace.records
         assert record.transmitters == (0,)
         assert set(record.receptions) == {1, 2}
         assert agents[1].heard and agents[1].heard[0][1] == 0
@@ -120,7 +121,7 @@ class TestSimulator:
             _BeaconAgent(node, rngs[1], 1.0, False),
         ]
         with pytest.raises(ProtocolError):
-            Simulator(agents, Channel(params))
+            Simulator(agents, params)
 
     def test_all_done_and_agents_by_id(self, params):
         simulator, agents = _make_simulator(params)

@@ -156,9 +156,11 @@ class TestChannelWorkspaceParity:
             assert_same(got, expected)
 
     def test_simulator_batch_engine_unchanged(self, universe):
-        """The workspace-backed batch engine equals the legacy seed engine."""
+        """The workspace-backed simulator equals the seed per-object loop."""
         from repro.runtime import NodeAgent, Simulator, spawn_agent_rngs
-        from repro.sinr import Channel, Transmission
+        from repro.sinr import Channel
+
+        from .oracles import LegacySimulator
 
         params = SINRParameters()
 
@@ -168,16 +170,10 @@ class TestChannelWorkspaceParity:
                 self.power = power
                 self.heard = 0
 
-            def act_batch(self, slot):
+            def act(self, slot):
                 if slot % 5 == self.node.id % 5:
                     return self.power, ("b", self.node.id)
                 return None
-
-            def act(self, slot):
-                action = self.act_batch(slot)
-                if action is None:
-                    return None
-                return Transmission(self.node, action[0], action[1])
 
             def observe(self, slot, reception):
                 if reception is not None:
@@ -185,17 +181,17 @@ class TestChannelWorkspaceParity:
 
         power = params.min_power_for(1.5)
 
-        def run(engine):
+        def run(make_simulator):
             rngs = spawn_agent_rngs(np.random.default_rng(2), len(universe))
             agents = [Beacon(node, rng, power) for node, rng in zip(universe, rngs)]
-            simulator = Simulator(agents, Channel(params), engine=engine)
+            simulator = make_simulator(agents)
             simulator.run(60)
             return [agent.heard for agent in agents], simulator.trace
 
-        batch_heard, batch_trace = run("batch")
-        legacy_heard, legacy_trace = run("legacy")
+        batch_heard, batch_trace = run(lambda agents: Simulator(agents, params))
+        legacy_heard, legacy_trace = run(lambda agents: LegacySimulator(agents, Channel(params)))
         assert batch_heard == legacy_heard
-        assert batch_trace.successful_receptions == legacy_trace.successful_receptions
+        assert batch_trace.records == legacy_trace.records
 
 
 class TestStackedDecodeParity:

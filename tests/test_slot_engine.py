@@ -5,9 +5,10 @@ Pins, on randomized instances and on the documented edge cases:
 * the vectorized ``Channel._decode`` / ``decode_arrays`` against the seed
   per-listener loop (``decode_reference``), bit-for-bit;
 * ``resolve_indices`` against ``Channel.resolve``;
-* the batch simulator engine against the seed (legacy) engine, including
-  delivered observations and traces;
-* the columnar trace against the record-based trace.
+* the simulator against the seed per-object slot loop (``tests/oracles.py``),
+  including delivered observations and traces, below and just above the
+  dense store's node ceiling;
+* the columnar trace's record round trip.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.geometry import Node, Point
-from repro.runtime import ColumnarTrace, ExecutionTrace, NodeAgent, Simulator, SlotRecord, spawn_agent_rngs
+from repro.runtime import ExecutionTrace, NodeAgent, Simulator, SlotRecord, spawn_agent_rngs
 from repro.sinr import (
     CachedChannel,
     Channel,
@@ -26,8 +27,11 @@ from repro.sinr import (
     decode_arrays,
     decode_reference,
 )
+from repro.state import TiledNetworkState, build_store
+from repro.state.store import MAX_CACHED_CHANNEL_NODES
 
 from .conftest import make_node
+from .oracles import LegacySimulator
 
 
 class _SeedDecodeChannel(Channel):
@@ -122,7 +126,10 @@ class TestDecodeParity:
         for j in range(dist.shape[1]):
             signals = received[:, j]
             expected_best = int(np.argmax(signals))
-            interference = total[j] - signals[expected_best]
+            # The colocated column has interference inf - inf = nan, so its
+            # listener decodes nothing (the defined colocated outcome).
+            with np.errstate(invalid="ignore"):
+                interference = total[j] - signals[expected_best]
             expected_sinr = np.inf if interference <= 0 else float(signals[expected_best] / interference)
             assert int(best[j]) == expected_best
             assert (np.isnan(sinr[j]) and np.isnan(expected_sinr)) or sinr[j] == expected_sinr
@@ -200,16 +207,10 @@ class _CoinAgent(NodeAgent):
         self.power = power
         self.heard: list[tuple[int, int, float]] = []
 
-    def act_batch(self, slot):
+    def act(self, slot):
         if self.rng.random() < 0.3:
             return self.power, ("beacon", self.node.id, slot)
         return None
-
-    def act(self, slot):
-        action = self.act_batch(slot)
-        if action is None:
-            return None
-        return Transmission(self.node, action[0], action[1])
 
     def observe(self, slot, reception):
         if reception is not None:
@@ -233,8 +234,8 @@ class TestEngineParity:
         slots = 60
         batch_agents = _coin_agents(params, 25, seed)
         legacy_agents = _coin_agents(params, 25, seed)
-        batch = Simulator(batch_agents, Channel(params), engine="batch")
-        legacy = Simulator(legacy_agents, Channel(params), engine="legacy")
+        batch = Simulator(batch_agents, params)
+        legacy = LegacySimulator(legacy_agents, Channel(params))
         batch.run(slots, label="parity")
         legacy.run(slots, label="parity")
         assert batch.trace.records == legacy.trace.records
@@ -244,8 +245,8 @@ class TestEngineParity:
         slots = 40
         batch_agents = _coin_agents(params, 18, 11)
         legacy_agents = _coin_agents(params, 18, 11)
-        batch = Simulator(batch_agents, Channel(params), engine="batch", trace_level="columnar")
-        legacy = Simulator(legacy_agents, Channel(params), engine="legacy")
+        batch = Simulator(batch_agents, params)
+        legacy = LegacySimulator(legacy_agents, Channel(params))
         batch.run(slots, label="col")
         legacy.run(slots, label="col")
         assert batch.trace.records == legacy.trace.records
@@ -255,58 +256,86 @@ class TestEngineParity:
         assert batch.trace.busy_slots() == legacy.trace.busy_slots()
 
     def test_counts_trace_matches_records_trace(self, params):
+        # The trace's aggregate counts equal the ones derived from the
+        # oracle's materialized records.
         slots = 40
         counts_agents = _coin_agents(params, 18, 13)
         record_agents = _coin_agents(params, 18, 13)
-        counts = Simulator(counts_agents, Channel(params), engine="batch", trace_level="counts")
-        records = Simulator(record_agents, Channel(params), engine="batch")
+        counts = Simulator(counts_agents, params)
+        records = LegacySimulator(record_agents, Channel(params)).run(slots).records
         counts.run(slots)
-        records.run(slots)
-        assert counts.trace.slots_used == records.trace.slots_used
-        assert counts.trace.transmissions_sent == records.trace.transmissions_sent
-        assert counts.trace.successful_receptions == records.trace.successful_receptions
-        assert counts.trace.busy_slots() == records.trace.busy_slots()
-        assert counts.trace.summary() == records.trace.summary()
-        with pytest.raises(ValueError):
-            counts.trace.records
-
-    def test_batch_engine_falls_back_on_custom_channel(self, params):
-        # A Channel subclass may override resolve(); the batch engine must
-        # route through the object path, not bypass it via index arrays.
-        class MuteChannel(Channel):
-            def resolve(self, transmissions, listeners):
-                return {}
-
-        agents = _coin_agents(params, 10, 17)
-        simulator = Simulator(agents, MuteChannel(params), engine="batch")
-        simulator.run(30)
-        assert all(not agent.heard for agent in agents)
-        assert simulator.trace.successful_receptions == 0
+        assert counts.trace.slots_used == len(records)
+        assert counts.trace.transmissions_sent == sum(len(r.transmitters) for r in records)
+        assert counts.trace.successful_receptions == sum(len(r.receptions) for r in records)
+        assert counts.trace.busy_slots() == sum(1 for r in records if r.transmitters)
 
     def test_bad_power_raises_even_when_every_agent_transmits(self, params):
-        # Matches the legacy engine, where Transmission.__post_init__ raises
-        # for every action even in a slot with no listeners.
+        # Matches the oracle, where Transmission.__post_init__ raises for
+        # every action even in a slot with no listeners.
         class BadPowerAgent(_CoinAgent):
-            def act_batch(self, slot):
+            def act(self, slot):
                 return 0.0, None
 
         agents = _coin_agents(params, 4, 23)
         bad = [BadPowerAgent(a.node, a.rng, a.power) for a in agents]
-        simulator = Simulator(bad, Channel(params), engine="batch")
+        simulator = Simulator(bad, params)
         with pytest.raises(ValueError, match="power must be positive"):
             simulator.step()
 
-    def test_invalid_engine_and_trace_level_rejected(self, params):
-        agents = _coin_agents(params, 4, 19)
-        with pytest.raises(ValueError):
-            Simulator(agents, Channel(params), engine="warp")
-        with pytest.raises(ValueError):
-            Simulator(agents[:2], Channel(params), trace_level="everything")
+    def test_just_above_dense_ceiling_equals_legacy(self):
+        # n = MAX_CACHED_CHANNEL_NODES + 1 puts the simulator's channel on
+        # the tiled store; its exact decode must still match the uncached
+        # object path, trace and deliveries alike.
+        params = SINRParameters()
+        n = MAX_CACHED_CHANNEL_NODES + 1
+        rng = np.random.default_rng(31)
+        xy = rng.uniform(0.0, 400.0, size=(n, 2))
+        nodes = [Node(id=i, position=Point(float(x), float(y))) for i, (x, y) in enumerate(xy)]
+        power = params.min_power_for(12.0)
+
+        def agents():
+            return [
+                _CoinAgent(node, agent_rng, power)
+                for node, agent_rng in zip(nodes, spawn_agent_rngs(np.random.default_rng(32), n))
+            ]
+
+        batch_agents, legacy_agents = agents(), agents()
+        batch = Simulator(batch_agents, params)
+        assert batch.channel.cache.state.store == "tiled"
+        legacy = LegacySimulator(legacy_agents, Channel(params))
+        batch.run(3, label="ceiling")
+        legacy.run(3, label="ceiling")
+        assert batch.trace.records == legacy.trace.records
+        assert batch.trace.successful_receptions > 0
+        assert [a.heard for a in batch_agents] == [a.heard for a in legacy_agents]
+
+
+class TestStoreDecision:
+    def test_dense_up_to_ceiling_tiled_above(self):
+        rng = np.random.default_rng(41)
+        xy = rng.uniform(0.0, 500.0, size=(MAX_CACHED_CHANNEL_NODES + 1, 2))
+        nodes = [Node(id=i, position=Point(float(x), float(y))) for i, (x, y) in enumerate(xy)]
+        assert MAX_CACHED_CHANNEL_NODES == 2048
+        assert build_store(nodes[:2048], "dense").store == "dense"
+        assert isinstance(build_store(nodes, "dense"), TiledNetworkState)
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 2048, 2049])
+    def test_tiled_selector_is_tiled_at_any_n(self, n):
+        nodes = [make_node(i, float(i), 0.0) for i in range(n)]
+        assert build_store(nodes, "tiled").store == "tiled"
+
+    def test_implicit_constructions_follow_the_decision(self, params):
+        nodes = [make_node(i, float(i), 0.0) for i in range(8)]
+        assert CachedChannel(params, nodes).cache.state.store == "dense"
+        tiled = params.with_overrides(store="tiled")
+        assert CachedChannel(tiled, nodes).cache.state.store == "tiled"
+        agents = _coin_agents(tiled, 6, 3)
+        assert Simulator(agents, tiled).channel.cache.state.store == "tiled"
 
 
 class TestColumnarTrace:
     def test_record_roundtrip(self):
-        trace = ColumnarTrace(metadata={"phase": "t"})
+        trace = ExecutionTrace(metadata={"phase": "t"})
         trace.record(SlotRecord(slot=0, transmitters=(1, 2), receptions={3: 1}, label="a"))
         trace.record(SlotRecord(slot=1, transmitters=(), receptions={}, label="b"))
         assert trace.slots_used == 2
@@ -316,20 +345,6 @@ class TestColumnarTrace:
         assert trace.records[0] == SlotRecord(0, (1, 2), {3: 1}, "a")
         assert len(trace.slots_with_label("b")) == 1
         assert trace.summary()["phase"] == "t"
-
-    def test_is_an_execution_trace(self):
-        assert isinstance(ColumnarTrace(), ExecutionTrace)
-
-    def test_counts_mode_aggregates_only(self):
-        trace = ColumnarTrace(reception_detail=False)
-        trace.append_slot(0, [5, 6], [(7, 5)], "x")
-        assert trace.slots_used == 1
-        assert trace.transmissions_sent == 2
-        assert trace.successful_receptions == 1
-        with pytest.raises(ValueError):
-            trace.records
-        with pytest.raises(ValueError):
-            trace.slots_with_label("x")
 
 
 class TestLinkSucceedsVectorized:

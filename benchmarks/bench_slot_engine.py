@@ -1,6 +1,6 @@
-"""Slot-engine benchmark: the vectorized simulator vs the seed (PR-1) slot path.
+"""Slot-engine benchmarks: each fast engine against its oracle, in one run.
 
-Runs the same 256-agent, 2000-slot beacon workload twice:
+``bench_slot_engine`` runs the same 256-agent, 2000-slot beacon workload twice:
 
 * **fast**: :class:`~repro.runtime.Simulator`, ``resolve_indices_full`` over
   the cached attenuation matrix, columnar trace;
@@ -15,6 +15,12 @@ criterion: the fast path is at least 5x faster with identical channel
 outcomes.  Under ``--benchmark-disable`` (the blocking CI collection smoke)
 only the outcome-parity checks run - wall-clock ratios on noisy shared
 runners must not gate merges.
+
+``bench_init_population`` builds ``Init`` on one 512-node deployment with
+:class:`~repro.core.InitialTreeBuilder` (the struct-of-arrays population)
+and with the ``InitAgent``-on-``Simulator`` oracle (``tests/oracles.py``),
+asserts equal result fingerprints, and prints the oracle / population time
+ratio; timed runs also assert it stays above a floor.
 """
 
 from __future__ import annotations
@@ -23,15 +29,20 @@ import time
 
 import numpy as np
 
-from repro.geometry import deployment_by_name
+from repro.core import InitialTreeBuilder
+from repro.geometry import deployment_by_name, uniform_random
 from repro.runtime import NodeAgent, Simulator, spawn_agent_rngs
 from repro.sinr import CachedChannel, SINRParameters
 from repro.sinr.channel import decode_reference
-from tests.oracles import LegacySimulator
+from tests.oracles import LegacySimulator, agent_init_build, init_fingerprint
 
 N_AGENTS = 256
 N_SLOTS = 2000
 SPEEDUP_FLOOR = 5.0
+
+INIT_NODES = 512
+#: The population must beat the per-agent oracle by at least this much.
+INIT_SPEEDUP_FLOOR = 1.5
 
 
 class ProbeAgent(NodeAgent):
@@ -133,3 +144,33 @@ def bench_slot_engine(benchmark):
         f"vectorized slot engine only {speedup:.1f}x faster than the seed "
         f"per-listener decode path (required: {SPEEDUP_FLOOR}x)"
     )
+
+
+def bench_init_population(benchmark):
+    params = SINRParameters()
+    builder = InitialTreeBuilder(params)
+    nodes = uniform_random(INIT_NODES, np.random.default_rng(5))
+
+    def population():
+        return builder.build(nodes, np.random.default_rng(6))
+
+    def oracle():
+        return agent_init_build(builder, nodes, np.random.default_rng(6))
+
+    repeats = 3 if benchmark.enabled else 1
+    population_time, fast = _timed(population, repeats)
+    oracle_time, reference = _timed(oracle, repeats)
+    assert init_fingerprint(fast) == init_fingerprint(reference)
+    benchmark.pedantic(population, rounds=1, iterations=1)
+
+    ratio = oracle_time / population_time
+    print()
+    print(
+        f"Init n={INIT_NODES} ({fast.slots_used} slots): population {population_time:.3f}s, "
+        f"InitAgent oracle {oracle_time:.3f}s, ratio {ratio:.2f}x"
+    )
+    if benchmark.enabled:
+        assert ratio >= INIT_SPEEDUP_FLOOR, (
+            f"Init population only {ratio:.2f}x faster than the InitAgent oracle "
+            f"(required: {INIT_SPEEDUP_FLOOR}x)"
+        )

@@ -14,7 +14,13 @@ from .capacity import (
 from .connectivity import ConnectivityProtocol
 from .distr_cap import DistrCapResult, DistrCapSelector
 from .distributed_scheduling import DistributedScheduler, DistributedScheduleResult
-from .init_tree import InitAgent, InitialTreeBuilder, InitialTreeResult, round_power
+from .init_tree import (
+    InitAgent,
+    InitialTreeBuilder,
+    InitialTreeResult,
+    InitPopulation,
+    round_power,
+)
 from .mean_power_selection import MeanPowerSelectionResult, MeanPowerSelector
 from .power_control import MeanPowerRescheduler, RescheduleResult
 from .power_solver import (
@@ -42,6 +48,7 @@ __all__ = [
     "ConnectivityProtocol",
     # initial tree
     "InitAgent",
+    "InitPopulation",
     "InitialTreeBuilder",
     "InitialTreeResult",
     "round_power",

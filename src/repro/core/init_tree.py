@@ -22,13 +22,27 @@ Practical constants (see ``repro.constants``) do not guarantee the w.h.p.
 single-sweep termination, so the builder optionally repeats the whole round
 sweep until a single active node remains; the extra slots are included in the
 reported cost.
+
+The protocol is synchronous: in every slot each node's step is a pure
+function of its own coin and of what it decoded in the previous slot.
+:class:`InitialTreeBuilder` therefore runs it as one struct-of-arrays
+population, :class:`InitPopulation`: a :class:`~repro.runtime.Simulator`
+subclass that keeps the per-node state in arrays and overrides the engine's
+poll / decode / deliver seams with whole-population array operations.  Every
+slot still goes through :meth:`Simulator.step` (counters, trace) and the
+shared decode; each node still draws from its own child generator, so the
+run is bit-identical to n :class:`InitAgent` objects on a plain
+:class:`~repro.runtime.Simulator` - the test oracle.  :class:`InitAgent`
+stays in the library because the fault-injected runtime
+(:class:`~repro.netsim.NetInitBuilder`) drives per-node agents, which can
+crash, recover and receive delayed messages individually.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -36,12 +50,22 @@ from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..exceptions import ProtocolError
 from ..geometry import Node, node_distance_matrix
 from ..links import Link
+from ..obs.runtime import OBS
+from ..obs.spans import span
 from ..runtime import AckMessage, BroadcastMessage, ExecutionTrace, NodeAgent, Simulator, spawn_agent_rngs
 from ..sinr import ExplicitPower, Reception, SINRParameters, UniformPower
+from ..sinr.channel import ensure_positive_powers
 from .bitree import BiTree
 from .quantities import num_rounds_for_delta
 
-__all__ = ["InitAgent", "InitialTreeBuilder", "InitialTreeResult", "round_power"]
+__all__ = [
+    "InitAgent",
+    "InitPopulation",
+    "InitState",
+    "InitialTreeBuilder",
+    "InitialTreeResult",
+    "round_power",
+]
 
 
 def round_power(round_index: int, params: SINRParameters, slack: float = 2.0) -> float:
@@ -221,6 +245,268 @@ class InitAgent(NodeAgent):
         return len({record.peer_id for record in self.records})
 
 
+@dataclass(frozen=True)
+class InitState:
+    """Final per-node ``Init`` state, in node-list order.
+
+    This is everything :meth:`InitialTreeBuilder._extract_result` reads, so
+    the population and the agent-driven runtimes share one extractor.
+
+    Attributes:
+        active: the nodes still active when the run stopped (the root mask).
+        parent: list position of each node's parent, ``-1`` if it has none.
+        parent_pair: slot-pair in which the parent link formed (the link's
+            schedule time stamp), ``-1`` if none.
+        parent_round: round in which the parent link formed, ``0`` if none.
+        stored_degree: number of distinct peers each node stored links with
+            (Theorem 7's ``|L_u|``, stray links included).
+    """
+
+    active: np.ndarray
+    parent: np.ndarray
+    parent_pair: np.ndarray
+    parent_round: np.ndarray
+    stored_degree: np.ndarray
+
+    @classmethod
+    def from_agents(cls, agents: Sequence[InitAgent]) -> "InitState":
+        """Gather the state of per-node :class:`InitAgent` objects."""
+        position = {agent.node_id: i for i, agent in enumerate(agents)}
+        return cls(
+            active=np.array([agent.active for agent in agents], dtype=bool),
+            parent=np.array(
+                [-1 if agent.parent_id is None else position[agent.parent_id] for agent in agents],
+                dtype=np.intp,
+            ),
+            parent_pair=np.array(
+                [-1 if agent.parent_slot_pair is None else agent.parent_slot_pair for agent in agents],
+                dtype=np.int64,
+            ),
+            parent_round=np.array([agent.parent_round or 0 for agent in agents], dtype=np.int64),
+            stored_degree=np.array([agent.stored_degree() for agent in agents], dtype=np.int64),
+        )
+
+
+class InitPopulation(Simulator):
+    """The lockstep ``Init`` protocol run as one struct-of-arrays population.
+
+    Replaces n :class:`InitAgent` objects on a :class:`Simulator` with per-node
+    state arrays and overrides only the engine seams: :meth:`_poll` computes
+    the slot's transmit set as an index array, :meth:`_decode` resolves it
+    through the shared channel decode and returns ``(listener, sender)``
+    index arrays, and :meth:`_deliver` applies them to the arrays.  No
+    message, reception or link-record object is built per slot.  The
+    randomness is the agents' own: node ``i`` draws from ``rngs[i]`` in the
+    same order an :class:`InitAgent` would, prefetched :attr:`PREFETCH`
+    draws at a time (``g.random(B)`` yields exactly the stream of ``B``
+    scalar ``g.random()`` calls).
+
+    Args:
+        nodes: the participating nodes; positions index every array.
+        rngs: one child generator per node (:func:`~repro.runtime
+            .spawn_agent_rngs`).
+        params: SINR model parameters.
+        constants: protocol constants.
+        rounds_per_sweep: rounds in one full sweep.
+        slot_pairs_per_round: slot-pairs in one round.
+    """
+
+    #: Uniform draws prefetched per node; small, so the ``n x PREFETCH``
+    #: buffer stays negligible next to the geometry store.
+    PREFETCH = 64
+
+    def __init__(
+        self,
+        nodes: Sequence[Node],
+        rngs: Sequence[np.random.Generator],
+        params: SINRParameters,
+        constants: AlgorithmConstants,
+        rounds_per_sweep: int,
+        slot_pairs_per_round: int,
+    ):
+        self._bind_nodes(nodes, params, None)
+        n = len(self._nodes)
+        if len(rngs) != n:
+            raise ValueError(f"need one generator per node: {len(rngs)} for {n} nodes")
+        self.params = params
+        self.constants = constants
+        self.rounds_per_sweep = rounds_per_sweep
+        self.slot_pairs_per_round = slot_pairs_per_round
+        # The population has no agent objects; its state is the arrays below.
+        self.agents = []
+
+        self.active = np.ones(n, dtype=bool)
+        self.is_broadcaster = np.zeros(n, dtype=bool)
+        #: position of the hello decoded in this slot-pair's broadcast slot.
+        self.pending_sender = np.full(n, -1, dtype=np.intp)
+        self.parent = np.full(n, -1, dtype=np.intp)
+        self.parent_pair = np.full(n, -1, dtype=np.int64)
+        self.parent_round = np.zeros(n, dtype=np.int64)
+        #: target of each acknowledger's ack in the current ack slot.
+        self._ack_target = np.full(n, -1, dtype=np.intp)
+        #: stored links as (node, peer) position pairs, one array per slot.
+        self._link_nodes: list[np.ndarray] = []
+        self._link_peers: list[np.ndarray] = []
+
+        self._ids = np.array(self._node_ids, dtype=np.int64)
+        self._xs = [node.x for node in self._nodes]
+        self._ys = [node.y for node in self._nodes]
+        self._rngs = list(rngs)
+        self._draws = np.empty((n, self.PREFETCH))
+        self._cursor = np.full(n, self.PREFETCH, dtype=np.intp)
+        self._no_decodes = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
+
+    # -- bookkeeping ---------------------------------------------------------
+
+    def _round(self, slot: int) -> int:
+        return (slot // 2 // self.slot_pairs_per_round) % self.rounds_per_sweep + 1
+
+    def _draw(self, idx: np.ndarray) -> np.ndarray:
+        """The next uniform draw of each node in ``idx`` (distinct positions)."""
+        cursor, draws = self._cursor, self._draws
+        at = cursor[idx]
+        spent = at == self.PREFETCH
+        if spent.any():
+            for i in idx[spent].tolist():
+                self._rngs[i].random(out=draws[i])
+            at[spent] = 0
+        cursor[idx] = at + 1
+        return draws[idx, at]
+
+    def _store_links(self, nodes: np.ndarray, peers: np.ndarray) -> None:
+        if nodes.size:
+            self._link_nodes.append(nodes)
+            self._link_peers.append(peers)
+
+    def active_count(self) -> int:
+        """Number of nodes still active."""
+        return int(np.count_nonzero(self.active))
+
+    def all_done(self) -> bool:
+        """Whether every node has become inactive (an agent's ``is_done``)."""
+        return not self.active.any()
+
+    def state(self) -> InitState:
+        """The population's final state, for the result extractor."""
+        n = len(self._nodes)
+        degree = np.zeros(n, dtype=np.int64)
+        if self._link_nodes:
+            nodes = np.concatenate(self._link_nodes).astype(np.int64)
+            peers = np.concatenate(self._link_peers).astype(np.int64)
+            distinct = np.unique(nodes * n + peers)
+            degree = np.bincount(distinct // n, minlength=n).astype(np.int64)
+        return InitState(
+            active=self.active,
+            parent=self.parent,
+            parent_pair=self.parent_pair,
+            parent_round=self.parent_round,
+            stored_degree=degree,
+        )
+
+    # -- engine seams --------------------------------------------------------
+
+    def _poll(self, slot: int) -> tuple[list[int], np.ndarray, None]:
+        round_index = self._round(slot)
+        if slot % 2 == 0:
+            # Broadcast slot: the slot-pair context resets, and every active
+            # node flips its broadcaster coin.
+            self.pending_sender.fill(-1)
+            self.is_broadcaster.fill(False)
+            candidates = np.flatnonzero(self.active)
+            tx = candidates[self._draw(candidates) < self.constants.broadcast_probability]
+            self.is_broadcaster[tx] = True
+        else:
+            tx = self._acknowledgers(round_index)
+        listening = self._listening
+        listening.fill(True)
+        listening[tx] = False
+        return tx.tolist(), np.full(tx.size, round_power(round_index, self.params)), None
+
+    def _acknowledgers(self, round_index: int) -> np.ndarray:
+        """Listeners that acknowledge the hello they decoded, storing the link.
+
+        Only active non-broadcasters record a pending hello, and nothing
+        changes between the broadcast slot's delivery and this poll.
+        """
+        listeners = np.flatnonzero(self.pending_sender >= 0)
+        senders = self.pending_sender[listeners]
+        lower, upper = 2.0 ** (round_index - 1), 2.0**round_index
+        xs, ys = self._xs, self._ys
+        # Node.distance_to's arithmetic, so the length-class test is exact.
+        in_class = np.array(
+            [
+                lower <= math.hypot(xs[a] - xs[b], ys[a] - ys[b]) < upper
+                for a, b in zip(listeners.tolist(), senders.tolist())
+            ],
+            dtype=bool,
+        )
+        listeners, senders = listeners[in_class], senders[in_class]
+        acks = self._draw(listeners) < self.constants.ack_probability
+        tx, targets = listeners[acks], senders[acks]
+        self._ack_target[tx] = targets
+        self._store_links(tx, targets)
+        return tx
+
+    def _decode(
+        self,
+        slot: int,
+        tx_pos: list[int],
+        powers: np.ndarray,
+        messages: None,
+    ) -> tuple[tuple[np.ndarray, np.ndarray], list[tuple[int, int]]]:
+        """The slot's decodes as ``(listener, sender)`` position arrays, plus
+        the ``(listener id, sender id)`` trace pairs."""
+        if not tx_pos:
+            return self._no_decodes, []
+        # Validate before the listener check so a non-positive power raises
+        # even in a slot where every node transmits.
+        ensure_positive_powers(powers)
+        if len(tx_pos) == len(self._nodes):
+            return self._no_decodes, []
+        tx = np.array(tx_pos, dtype=np.intp)
+        best, _, ok = self.channel.resolve_indices_full(
+            tx, powers, slot=slot, workspace=self._workspace
+        )
+        # Half-duplex: transmitter columns never decode.
+        listeners = np.flatnonzero(ok & self._listening)
+        senders = tx[best[listeners]]
+        ids = self._ids
+        return (listeners, senders), list(zip(ids[listeners].tolist(), ids[senders].tolist()))
+
+    def _deliver(self, slot: int, decoded: tuple[np.ndarray, np.ndarray]) -> None:
+        listeners, senders = decoded
+        if slot % 2 == 0:
+            heard = self.active[listeners]
+            self.pending_sender[listeners[heard]] = senders[heard]
+            return
+        # Ack slot: a broadcaster that decodes an ack addressed to it adopts
+        # the acknowledger as its parent and becomes inactive.
+        adopted = (
+            self.active[listeners]
+            & self.is_broadcaster[listeners]
+            & (self._ack_target[senders] == listeners)
+        )
+        children, parents = listeners[adopted], senders[adopted]
+        pair = slot // 2
+        self.parent[children] = parents
+        self.parent_pair[children] = pair
+        self.parent_round[children] = self._round(slot)
+        self.active[children] = False
+        self._store_links(children, parents)
+        if OBS.enabled and (pair + 1) % self.slot_pairs_per_round == 0:
+            self._record_round(pair)
+
+    def _record_round(self, pair: int) -> None:
+        """Protocol progress of the round ending with slot-pair ``pair``:
+        nodes active at its start and nodes that adopted a parent in it."""
+        first_pair = pair + 1 - self.slot_pairs_per_round
+        parented = int(np.count_nonzero(self.parent_pair >= first_pair))
+        round_index = self._round(2 * pair)
+        registry = OBS.registry
+        registry.inc("init.active", self.active_count() + parented, round=round_index)
+        registry.inc("init.parented", parented, round=round_index)
+
+
 @dataclass
 class InitialTreeResult:
     """Outcome of running ``Init`` on a set of nodes.
@@ -255,6 +541,13 @@ class InitialTreeResult:
 class InitialTreeBuilder:
     """Runs the distributed ``Init`` protocol (Theorem 2).
 
+    The instance must satisfy the paper's min-separation 1: round ``r``
+    only forms links of length in ``[2**(r-1), 2**r)``, so two nodes closer
+    than 1 (colocated ones included) can never link to each other.  Such a
+    pair still converges when a third node gives both a parent, but a
+    sub-unit pair on its own never does: :meth:`build` raises
+    :class:`~repro.exceptions.ProtocolError` after ``max_sweeps`` sweeps.
+
     Args:
         params: SINR model parameters.
         constants: protocol constants (probabilities, slot-pairs per round).
@@ -280,7 +573,8 @@ class InitialTreeBuilder:
 
         Raises:
             ProtocolError: if more than one active node remains after
-                ``max_sweeps`` sweeps (practically unreachable with defaults).
+                ``max_sweeps`` sweeps (practically unreachable with defaults
+                on instances with min-separation 1).
         """
         node_list = list(nodes)
         if not node_list:
@@ -300,96 +594,119 @@ class InitialTreeBuilder:
                 stored_degrees={only.id: 0},
             )
 
+        delta, rounds_per_sweep, pairs_per_round = self._sweep_plan(node_list)
+        population = InitPopulation(
+            node_list,
+            spawn_agent_rngs(rng, len(node_list)),
+            self.params,
+            self.constants,
+            rounds_per_sweep,
+            pairs_per_round,
+        )
+        rounds_used, sweeps_used = self._run_sweeps(
+            population, population.active_count, rounds_per_sweep, pairs_per_round
+        )
+        if population.active_count() > 1:
+            raise ProtocolError(
+                f"Init did not converge to a single active node within {self.max_sweeps} sweeps"
+            )
+        return self._extract_result(
+            node_list,
+            population.state(),
+            population.trace,
+            population.current_slot,
+            delta,
+            rounds_used,
+            sweeps_used,
+        )
+
+    def _sweep_plan(self, node_list: Sequence[Node]) -> tuple[float, int, int]:
+        """``(delta, rounds per sweep, slot-pairs per round)`` of an instance."""
         distances = node_distance_matrix(node_list)
         np.fill_diagonal(distances, 0.0)
         delta = float(distances.max())
         rounds_per_sweep = num_rounds_for_delta(max(delta, 1.0))
-        pairs_per_round = self.constants.slot_pairs_per_round(len(node_list))
+        return delta, rounds_per_sweep, self.constants.slot_pairs_per_round(len(node_list))
 
-        agent_rngs = spawn_agent_rngs(rng, len(node_list))
-        agents = [
-            InitAgent(
-                node=node,
-                rng=agent_rng,
-                params=self.params,
-                constants=self.constants,
-                rounds_per_sweep=rounds_per_sweep,
-                slot_pairs_per_round=pairs_per_round,
-            )
-            for node, agent_rng in zip(node_list, agent_rngs)
-        ]
-        simulator = Simulator(agents, self.params)
+    def _run_sweeps(
+        self,
+        sim: Simulator,
+        remaining_active: Callable[[], int],
+        rounds_per_sweep: int,
+        pairs_per_round: int,
+    ) -> tuple[int, int]:
+        """Step ``sim`` through up to ``max_sweeps`` round sweeps.
 
+        The first sweep always runs in full (the paper's algorithm has no
+        early termination); later sweeps stop as soon as
+        ``remaining_active()`` reports at most one active node.
+
+        Returns:
+            ``(rounds_used, sweeps_used)``.
+        """
         rounds_used = 0
         sweeps_used = 0
         for sweep in range(self.max_sweeps):
             sweeps_used = sweep + 1
-            for round_index in range(1, rounds_per_sweep + 1):
-                # The first sweep always runs in full (the paper's algorithm has
-                # no early termination); later sweeps stop as soon as a single
-                # active node remains.
-                if sweep > 0 and self._active_count(agents) <= 1:
-                    break
-                rounds_used += 1
-                for _ in range(pairs_per_round):
-                    simulator.step(label=f"init:sweep{sweep}:round{round_index}:broadcast")
-                    simulator.step(label=f"init:sweep{sweep}:round{round_index}:ack")
-            if self._active_count(agents) <= 1:
+            with span("init.sweep", sweep=sweep):
+                for round_index in range(1, rounds_per_sweep + 1):
+                    if sweep > 0 and remaining_active() <= 1:
+                        break
+                    rounds_used += 1
+                    with span("init.round", sweep=sweep, round=round_index):
+                        for _ in range(pairs_per_round):
+                            sim.step(label=f"init:sweep{sweep}:round{round_index}:broadcast")
+                            sim.step(label=f"init:sweep{sweep}:round{round_index}:ack")
+            if remaining_active() <= 1:
                 break
-        if self._active_count(agents) > 1:
-            raise ProtocolError(
-                f"Init did not converge to a single active node within {self.max_sweeps} sweeps"
-            )
-
-        return self._extract_result(
-            node_list, agents, simulator, delta, rounds_used, sweeps_used
-        )
-
-    @staticmethod
-    def _active_count(agents: Sequence[InitAgent]) -> int:
-        return sum(1 for agent in agents if agent.active)
+        return rounds_used, sweeps_used
 
     def _extract_result(
         self,
         node_list: Sequence[Node],
-        agents: Sequence[InitAgent],
-        simulator: Simulator,
+        state: InitState,
+        trace: ExecutionTrace,
+        slots_used: int,
         delta: float,
         rounds_used: int,
         sweeps_used: int,
     ) -> InitialTreeResult:
-        node_map = {node.id: node for node in node_list}
-        root_candidates = [agent.node_id for agent in agents if agent.active]
-        if len(root_candidates) != 1:
-            raise ProtocolError(f"expected exactly one root, found {len(root_candidates)}")
-        root_id = root_candidates[0]
+        roots = np.flatnonzero(state.active)
+        if roots.size != 1:
+            raise ProtocolError(f"expected exactly one root, found {roots.size}")
+        root = int(roots[0])
+        ids = [node.id for node in node_list]
 
         parent: dict[int, int] = {}
         slots: dict[int, int] = {}
         link_rounds: dict[tuple[int, int], int] = {}
         power_map: dict[tuple[int, int], float] = {}
-        for agent in agents:
-            if agent.node_id == root_id:
+        for i, (parent_pos, pair, round_index) in enumerate(
+            zip(state.parent.tolist(), state.parent_pair.tolist(), state.parent_round.tolist())
+        ):
+            if i == root:
                 continue
-            if agent.parent_id is None or agent.parent_slot_pair is None or agent.parent_round is None:
-                raise ProtocolError(f"inactive node {agent.node_id} has no recorded parent")
-            parent[agent.node_id] = agent.parent_id
-            slots[agent.node_id] = agent.parent_slot_pair
-            power = round_power(agent.parent_round, self.params)
-            link_rounds[(agent.node_id, agent.parent_id)] = agent.parent_round
-            power_map[(agent.node_id, agent.parent_id)] = power
-            power_map[(agent.parent_id, agent.node_id)] = power
+            node_id = ids[i]
+            if parent_pos < 0:
+                raise ProtocolError(f"inactive node {node_id} has no recorded parent")
+            parent_id = ids[parent_pos]
+            parent[node_id] = parent_id
+            slots[node_id] = pair
+            power = round_power(round_index, self.params)
+            link_rounds[(node_id, parent_id)] = round_index
+            power_map[(node_id, parent_id)] = power
+            power_map[(parent_id, node_id)] = power
 
-        tree = BiTree.from_parent_map(node_list, root_id, parent, slots)
+        tree = BiTree.from_parent_map(node_list, ids[root], parent, slots)
         fallback = UniformPower.for_max_length(self.params, max(delta, 1.0))
         return InitialTreeResult(
             tree=tree,
-            slots_used=simulator.current_slot,
+            slots_used=slots_used,
             rounds_used=rounds_used,
             sweeps_used=sweeps_used,
             delta=delta,
             power=ExplicitPower(power_map, fallback=fallback),
             link_rounds=link_rounds,
-            trace=simulator.trace,
-            stored_degrees={agent.node_id: agent.stored_degree() for agent in agents},
+            trace=trace,
+            stored_degrees=dict(zip(ids, state.stored_degree.tolist())),
         )

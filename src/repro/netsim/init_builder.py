@@ -1,13 +1,14 @@
 """``Init`` over a lossy transport: build the bi-tree and survive the faults.
 
 :class:`NetInitBuilder` runs the exact protocol of :class:`~repro.core
-.init_tree.InitialTreeBuilder` - same agents, same labels, same sweep
-structure - but over a :class:`~repro.netsim.runtime.NetSimulator`, with the
-lockstep builder's god's-eye agent reads replaced by the failure detector's
-view.  Under a faultless plan every seam collapses to the lockstep engine,
-so the message trace and the resulting tree are bit-identical to the oracle
-(the parity tests pin this).  Under faults, the outcome depends on the
-delivery mode:
+.init_tree.InitialTreeBuilder` - same labels, same sweep loop, same result
+extractor - but as per-node :class:`~repro.core.init_tree.InitAgent` objects
+over a :class:`~repro.netsim.runtime.NetSimulator`, with the lockstep
+builder's god's-eye state reads replaced by the failure detector's view.
+Under a faultless plan every seam collapses to the lockstep engine, so the
+message trace and the resulting tree are bit-identical to the lockstep
+builder's struct-of-arrays population (the parity tests pin this).  Under
+faults, the outcome depends on the delivery mode:
 
 * ``"fire-and-forget"`` is the paper's semantics: the protocol's own
   redundancy absorbs message loss, but nothing repairs structural damage -
@@ -36,11 +37,16 @@ import numpy as np
 
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..core.bitree import BiTree
-from ..core.init_tree import InitAgent, InitialTreeBuilder, InitialTreeResult, round_power
-from ..core.quantities import num_rounds_for_delta
+from ..core.init_tree import (
+    InitAgent,
+    InitialTreeBuilder,
+    InitialTreeResult,
+    InitState,
+    round_power,
+)
 from ..core.repair import TreeRepairer
 from ..exceptions import ConfigurationError, NodeCrashedError, ProtocolError
-from ..geometry import Node, node_distance_matrix
+from ..geometry import Node
 from ..obs.spans import span
 from ..runtime import ExecutionTrace, spawn_agent_rngs
 from ..sinr import ExplicitPower, SINRParameters, UniformPower
@@ -180,12 +186,8 @@ class NetInitBuilder:
                 send_budget={only.id: 0},
             )
 
-        distances = node_distance_matrix(node_list)
-        np.fill_diagonal(distances, 0.0)
-        delta = float(distances.max())
-        rounds_per_sweep = num_rounds_for_delta(max(delta, 1.0))
-        pairs_per_round = self.constants.slot_pairs_per_round(len(node_list))
-
+        lockstep = self._lockstep_builder()
+        delta, rounds_per_sweep, pairs_per_round = lockstep._sweep_plan(node_list)
         agent_rngs = spawn_agent_rngs(rng, len(node_list))
         agents = [
             InitAgent(
@@ -206,32 +208,19 @@ class NetInitBuilder:
         sim = NetSimulator(agents, self.params, self._make_transport(), detector=detector)
         driver = RoundDriver(sim)
 
-        rounds_used = 0
-        sweeps_used = 0
         with span(
             "init.build",
             n=len(node_list),
             delivery=self.delivery,
             depth=self._completion_depth,
         ):
-            for sweep in range(self.max_sweeps):
-                sweeps_used = sweep + 1
-                with span("init.sweep", sweep=sweep):
-                    for round_index in range(1, rounds_per_sweep + 1):
-                        # Same structure as the lockstep builder, but the
-                        # early-out reads the detector's view, never agent
-                        # state: the first sweep always runs in full, later
-                        # sweeps stop as soon as at most one alive-believed
-                        # node still reports "active".
-                        if sweep > 0 and driver.remaining_active() <= 1:
-                            break
-                        rounds_used += 1
-                        with span("init.round", sweep=sweep, round=round_index):
-                            for _ in range(pairs_per_round):
-                                sim.step(label=f"init:sweep{sweep}:round{round_index}:broadcast")
-                                sim.step(label=f"init:sweep{sweep}:round{round_index}:ack")
-                if driver.remaining_active() <= 1:
-                    break
+            # Same sweep structure as the lockstep builder, but the early-out
+            # reads the detector's view, never agent state: later sweeps stop
+            # as soon as at most one alive-believed node still reports
+            # "active".
+            rounds_used, sweeps_used = lockstep._run_sweeps(
+                sim, driver.remaining_active, rounds_per_sweep, pairs_per_round
+            )
 
         crashed_now = sim.crashed_ids()
         parent_probe = {
@@ -278,6 +267,11 @@ class NetInitBuilder:
 
     # -- transports ----------------------------------------------------------
 
+    def _lockstep_builder(self) -> InitialTreeBuilder:
+        """The lockstep builder whose sweep plan, loop and extractor this
+        runtime shares."""
+        return InitialTreeBuilder(self.params, self.constants, self.max_sweeps)
+
     def _make_transport(self) -> Transport:
         if self.plan is None or self.plan.faultless:
             return PerfectTransport()
@@ -295,9 +289,15 @@ class NetInitBuilder:
         sweeps_used: int,
     ) -> NetInitResult:
         """Clean convergence: reuse the lockstep extractor verbatim (parity)."""
-        oracle: InitialTreeResult = InitialTreeBuilder(
-            self.params, self.constants, self.max_sweeps
-        )._extract_result(node_list, agents, sim, delta, rounds_used, sweeps_used)
+        oracle: InitialTreeResult = self._lockstep_builder()._extract_result(
+            node_list,
+            InitState.from_agents(agents),
+            sim.trace,
+            sim.current_slot,
+            delta,
+            rounds_used,
+            sweeps_used,
+        )
         return NetInitResult(
             tree=oracle.tree,
             slots_used=oracle.slots_used,

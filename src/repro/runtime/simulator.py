@@ -15,8 +15,10 @@ its attenuation/fade blocks from the channel's backing geometry store (dense
 or tiled, as :func:`repro.state.build_store` decides); :class:`~repro.sinr
 .Reception` objects are built only for the listeners that decode.  The
 fault-injected message-passing runtime (``repro.netsim``) overrides the seams
-to change who gets polled and which decoded messages actually arrive, while
-reusing the exact decode arithmetic.
+to change who gets polled and which decoded messages actually arrive, and the
+``Init`` population (:class:`repro.core.init_tree.InitPopulation`) overrides
+them to run a whole protocol population as arrays, both reusing the exact
+decode arithmetic.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..exceptions import ProtocolError
+from ..geometry import Node
 from ..obs.runtime import OBS
 from ..obs.spans import span
 from ..sinr import CachedChannel, Reception, SINRParameters
@@ -63,23 +66,29 @@ class Simulator:
         params: SINRParameters,
         trace: ExecutionTrace | None = None,
     ):
-        ids = [agent.node_id for agent in agents]
-        if len(ids) != len(set(ids)):
-            raise ProtocolError("duplicate node ids among agents")
         self.agents: list[NodeAgent] = list(agents)
-        # The agent set is fixed for the simulator's lifetime, so the channel
-        # views one geometry store over the agents' nodes, in agent order:
-        # agent position == channel cache index.
-        self._nodes = [agent.node for agent in self.agents]
-        self.channel = CachedChannel(params, self._nodes)
-        self.trace = trace if trace is not None else ExecutionTrace()
-        self._slot = 0
-        self._node_ids: list[int] = ids
+        self._bind_nodes([agent.node for agent in self.agents], params, trace)
         # Hot-loop hoists: bound methods are captured once instead of being
         # looked up per agent per slot.
         self._act = [agent.act for agent in self.agents]
         self._observe = [agent.observe for agent in self.agents]
-        self._listening = np.empty(len(self.agents), dtype=bool)
+
+    def _bind_nodes(
+        self, nodes: Sequence[Node], params: SINRParameters, trace: ExecutionTrace | None
+    ) -> None:
+        """Set up the fixed node universe every seam indexes by position."""
+        ids = [node.id for node in nodes]
+        if len(ids) != len(set(ids)):
+            raise ProtocolError("duplicate node ids among agents")
+        # The node set is fixed for the simulator's lifetime, so the channel
+        # views one geometry store over the nodes, in the given order:
+        # node position == channel cache index.
+        self._nodes = list(nodes)
+        self.channel = CachedChannel(params, self._nodes)
+        self.trace = trace if trace is not None else ExecutionTrace()
+        self._slot = 0
+        self._node_ids: list[int] = ids
+        self._listening = np.empty(len(self._nodes), dtype=bool)
         # Scratch arena for the decode: every slot's gathered blocks,
         # received-power matrix and per-listener vectors live in these
         # reused buffers (results are consumed within the slot, so the

@@ -6,14 +6,42 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import InitialTreeBuilder, round_power
+from repro.constants import AlgorithmConstants
+from repro.core import InitialTreeBuilder, InitPopulation, round_power
 from repro.exceptions import ProtocolError
 from repro.geometry import grid, linear_chain, uniform_random
 from repro.links import length_class_index
+from repro.netsim import NetInitBuilder
+from repro.obs import telemetry
 from repro.sinr import SINRParameters
+from repro.state.store import MAX_CACHED_CHANNEL_NODES
 
 from .conftest import make_node
+from .oracles import agent_init_build, init_fingerprint
+
+
+def outcome_fingerprint(build, nodes, seed):
+    """The result fingerprint, or the error a build raised."""
+    try:
+        return init_fingerprint(build(nodes, np.random.default_rng(seed)))
+    except ProtocolError as error:
+        return ("ProtocolError", str(error))
+
+
+def population_build(params, constants, max_sweeps=20):
+    return InitialTreeBuilder(params, constants, max_sweeps).build
+
+
+def oracle_build(params, constants, max_sweeps=20):
+    builder = InitialTreeBuilder(params, constants, max_sweeps)
+    return lambda nodes, rng: agent_init_build(builder, nodes, rng)
+
+
+def netsim_build(params, constants, max_sweeps=20):
+    return NetInitBuilder(params, constants, max_sweeps, delivery="fire-and-forget").build
 
 
 class TestRoundPower:
@@ -133,3 +161,114 @@ class TestInitDeployments:
         second = InitialTreeBuilder(params).build(nodes, np.random.default_rng(5))
         assert first.tree.parent == second.tree.parent
         assert first.slots_used == second.slots_used
+
+
+class TestPopulationParity:
+    """The struct-of-arrays population against ``InitAgent`` objects."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=40),
+        deploy_seed=st.integers(min_value=0, max_value=2**16),
+        seed=st.integers(min_value=0, max_value=2**16),
+        broadcast_probability=st.sampled_from([0.05, 0.15, 0.3, 0.5]),
+        ack_probability=st.sampled_from([0.25, 0.75, 1.0]),
+        factor=st.sampled_from([0.5, 1.0, 3.0]),
+        min_pairs=st.integers(min_value=1, max_value=10),
+    )
+    def test_matches_agent_oracle(
+        self, n, deploy_seed, seed, broadcast_probability, ack_probability, factor, min_pairs
+    ):
+        params = SINRParameters()
+        constants = AlgorithmConstants(
+            broadcast_probability=broadcast_probability,
+            ack_probability=ack_probability,
+            slot_pairs_per_round_factor=factor,
+            min_slot_pairs_per_round=min_pairs,
+        )
+        nodes = uniform_random(n, np.random.default_rng(deploy_seed))
+        assert outcome_fingerprint(
+            population_build(params, constants, 4), nodes, seed
+        ) == outcome_fingerprint(oracle_build(params, constants, 4), nodes, seed)
+
+    def test_many_prefetch_blocks(self, params):
+        # The root stays active throughout and draws on every slot-pair, so
+        # it refills its prefetch buffer several times.
+        constants = AlgorithmConstants(min_slot_pairs_per_round=80)
+        nodes = uniform_random(6, np.random.default_rng(3))
+        population = population_build(params, constants)(nodes, np.random.default_rng(4))
+        assert population.slots_used // 2 > 3 * InitPopulation.PREFETCH
+        oracle = oracle_build(params, constants)(nodes, np.random.default_rng(4))
+        assert init_fingerprint(population) == init_fingerprint(oracle)
+
+    def test_tiled_store_above_dense_ceiling(self):
+        params = SINRParameters()
+        constants = AlgorithmConstants(slot_pairs_per_round_factor=1.0, min_slot_pairs_per_round=1)
+        n = MAX_CACHED_CHANNEL_NODES + 1  # build_store picks the tiled store
+        nodes = uniform_random(n, np.random.default_rng(3))
+        population = population_build(params, constants)(nodes, np.random.default_rng(4))
+        oracle = oracle_build(params, constants)(nodes, np.random.default_rng(4))
+        assert init_fingerprint(population) == init_fingerprint(oracle)
+
+    def test_netsim_zero_fault_matches_population(self, params, constants):
+        nodes = uniform_random(40, np.random.default_rng(8))
+        population = population_build(params, constants)(nodes, np.random.default_rng(9))
+        netsim = netsim_build(params, constants)(nodes, np.random.default_rng(9))
+        assert init_fingerprint(netsim) == init_fingerprint(population)
+
+
+@pytest.mark.parametrize("make_build", [population_build, oracle_build, netsim_build])
+class TestEdgeSemantics:
+    """Pinned small-instance behaviour, identical on every engine."""
+
+    def test_single_node_is_a_zero_slot_tree(self, make_build, params, constants):
+        result = make_build(params, constants)([make_node(0, 0, 0)], np.random.default_rng(1))
+        assert result.tree.size == 1 and result.tree.root_id == 0
+        assert result.slots_used == 0 and result.trace.slots_used == 0
+
+    def test_pair_at_one_and_a_half_converges(self, make_build, params, constants):
+        nodes = [make_node(0, 0, 0), make_node(1, 1.5, 0)]
+        result = make_build(params, constants)(nodes, np.random.default_rng(1))
+        assert len(result.tree.aggregation_links()) == 1
+        assert result.link_rounds == {
+            (child, parent): 1 for child, parent in result.tree.parent.items()
+        }
+
+    def test_colocated_pair_with_a_third_node_converges(self, make_build, params, constants):
+        nodes = [make_node(0, 0, 0), make_node(1, 0, 0), make_node(2, 3, 0)]
+        result = make_build(params, constants)(nodes, np.random.default_rng(1))
+        assert result.tree.root_id == 2
+        assert result.tree.parent == {0: 2, 1: 2}
+
+    @pytest.mark.parametrize("gap", [0.0, 0.1])
+    def test_sub_unit_pair_never_links(self, make_build, params, constants, gap):
+        nodes = [make_node(0, 0, 0), make_node(1, gap, 0)]
+        with telemetry() as registry, pytest.raises(ProtocolError, match="did not converge"):
+            make_build(params, constants, 3)(nodes, np.random.default_rng(1))
+        # It raises only after all three sweeps ran in full.
+        _, rounds_per_sweep, pairs_per_round = InitialTreeBuilder(params, constants)._sweep_plan(nodes)
+        slots = registry.counter_value("sim.slots") + registry.counter_value("netsim.slots")
+        assert slots == 3 * rounds_per_sweep * pairs_per_round * 2
+
+
+class TestProgressTelemetry:
+    @staticmethod
+    def per_round(registry, counter):
+        return {
+            labels["round"]: value for name, labels, value in registry.counters() if name == counter
+        }
+
+    def test_active_and_parented_per_round(self, params, constants):
+        nodes = uniform_random(24, np.random.default_rng(2))
+        off = InitialTreeBuilder(params, constants).build(nodes, np.random.default_rng(4))
+        with telemetry() as registry:
+            on = InitialTreeBuilder(params, constants).build(nodes, np.random.default_rng(4))
+        assert init_fingerprint(on) == init_fingerprint(off)
+        assert on.sweeps_used == 1
+        active = self.per_round(registry, "init.active")
+        parented = self.per_round(registry, "init.parented")
+        assert set(active) == set(parented) == {str(r) for r in range(1, on.rounds_used + 1)}
+        assert active["1"] == len(nodes)
+        for r in range(1, on.rounds_used):
+            assert active[str(r + 1)] == active[str(r)] - parented[str(r)]
+        assert sum(parented.values()) == len(nodes) - 1

@@ -14,6 +14,10 @@ the failure detector).  In timed runs the zero-fault seam must stay within
 ``OVERHEAD_CEILING`` of the lockstep engine - the runtime is a testing
 instrument, not a replacement engine, but an order-of-magnitude regression
 would make the chaos suite unusably slow.
+
+``bench_netsim_control_plane`` runs the lossy instance plus one crash window
+on the array control plane and on the scalar one (``tests/oracles.py``),
+asserts identical fault traces and results, and prints the ratio.
 """
 
 from __future__ import annotations
@@ -33,11 +37,14 @@ from repro.netsim import (
 )
 from repro.netsim.faults import CrashWindow
 from repro.sinr import SINRParameters
+from tests.oracles import scalar_control_plane
 
 N_NODES = 96
 SEED = 17
 #: Zero-fault netsim slowdown over lockstep tolerated in timed runs.
 OVERHEAD_CEILING = 6.0
+#: The array control plane must beat the scalar oracle by at least this much.
+CONTROL_PLANE_FLOOR = 3.0
 
 
 def _nodes():
@@ -104,6 +111,76 @@ def bench_netsim(benchmark):
         f"zero-fault netsim runtime is {ratio:.1f}x the lockstep engine "
         f"(ceiling: {OVERHEAD_CEILING}x)"
     )
+
+
+def _control_plane_fingerprint(outcome, trace):
+    return (
+        outcome.tree.root_id,
+        outcome.tree.parent,
+        outcome.slots_used,
+        outcome.trace.records,
+        outcome.crashed,
+        outcome.reattached,
+        outcome.send_budget,
+        outcome.fault_summary,
+        outcome.fault_digest,
+        trace.dropped,
+        trace.delayed,
+        trace.crashes,
+        trace.recoveries,
+        trace.heartbeat_losses,
+    )
+
+
+def bench_netsim_control_plane(benchmark):
+    """Array control plane vs the scalar oracle on the 10%-loss instance
+    with one node crashing mid-run and recovering."""
+    params = SINRParameters()
+    victim = _nodes()[N_NODES // 2].id
+    plan = FaultPlan(
+        seed=SEED,
+        drop_prob=0.10,
+        crashes=CrashSchedule((CrashWindow(victim, 40, 400),)),
+    )
+
+    def run(scalar):
+        # Keep the main run's fault trace: the result carries its summary
+        # and digest, the trace holds the ordered lists.
+        traces = []
+        builder = NetInitBuilder(params, plan=plan)
+        make_transport = builder._make_transport
+
+        def recording_transport():
+            transport = make_transport()
+            traces.append(transport.trace)
+            return transport
+
+        builder._make_transport = recording_transport
+        if scalar:
+            with scalar_control_plane():
+                outcome = builder.build(_nodes(), np.random.default_rng(SEED + 1))
+        else:
+            outcome = builder.build(_nodes(), np.random.default_rng(SEED + 1))
+        return _control_plane_fingerprint(outcome, traces[0])
+
+    repeats = 2 if benchmark.enabled else 1
+    array_time, fast = _timed(lambda: run(False), repeats)
+    scalar_time, slow = _timed(lambda: run(True), repeats)
+    summary = fast[7]
+    assert summary["crashes"] == 1 and summary["heartbeat_losses"] > 0
+    assert fast == slow
+    benchmark.pedantic(lambda: run(False), rounds=1, iterations=1)
+    ratio = scalar_time / max(array_time, 1e-9)
+    print()
+    print(
+        f"netsim control plane {N_NODES} nodes, 10% loss + 1 crash: array "
+        f"{array_time:.3f}s, scalar oracle {scalar_time:.3f}s, ratio {ratio:.2f}x"
+    )
+    if benchmark.enabled:
+        assert ratio >= CONTROL_PLANE_FLOOR, (
+            f"array control plane only {ratio:.2f}x faster than the scalar oracle "
+            f"(floor: {CONTROL_PLANE_FLOOR}x)"
+        )
 
 
 def _run_failover(params, tree, power, root):

@@ -48,13 +48,14 @@ import numpy as np
 
 from ..constants import DEFAULT_CONSTANTS, AlgorithmConstants
 from ..exceptions import ProtocolError
-from ..geometry import Node, node_distance_matrix
+from ..geometry import Node
 from ..links import Link
 from ..obs.runtime import OBS
 from ..obs.spans import span
 from ..runtime import AckMessage, BroadcastMessage, ExecutionTrace, NodeAgent, Simulator, spawn_agent_rngs
 from ..sinr import ExplicitPower, Reception, SINRParameters, UniformPower
 from ..sinr.channel import ensure_positive_powers
+from ..state import NetworkState, build_store
 from .bitree import BiTree
 from .quantities import num_rounds_for_delta
 
@@ -309,6 +310,7 @@ class InitPopulation(Simulator):
         constants: protocol constants.
         rounds_per_sweep: rounds in one full sweep.
         slot_pairs_per_round: slot-pairs in one round.
+        store: the geometry store over ``nodes``, when already built.
     """
 
     #: Uniform draws prefetched per node; small, so the ``n x PREFETCH``
@@ -323,8 +325,10 @@ class InitPopulation(Simulator):
         constants: AlgorithmConstants,
         rounds_per_sweep: int,
         slot_pairs_per_round: int,
+        *,
+        store: NetworkState | None = None,
     ):
-        self._bind_nodes(nodes, params, None)
+        self._bind_nodes(nodes, params, None, store)
         n = len(self._nodes)
         if len(rngs) != n:
             raise ValueError(f"need one generator per node: {len(rngs)} for {n} nodes")
@@ -453,16 +457,16 @@ class InitPopulation(Simulator):
         tx_pos: list[int],
         powers: np.ndarray,
         messages: None,
-    ) -> tuple[tuple[np.ndarray, np.ndarray], list[tuple[int, int]]]:
+    ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[list[int], list[int]]]:
         """The slot's decodes as ``(listener, sender)`` position arrays, plus
-        the ``(listener id, sender id)`` trace pairs."""
+        the trace's listener-id and sender-id columns."""
         if not tx_pos:
-            return self._no_decodes, []
+            return self._no_decodes, ([], [])
         # Validate before the listener check so a non-positive power raises
         # even in a slot where every node transmits.
         ensure_positive_powers(powers)
         if len(tx_pos) == len(self._nodes):
-            return self._no_decodes, []
+            return self._no_decodes, ([], [])
         tx = np.array(tx_pos, dtype=np.intp)
         best, _, ok = self.channel.resolve_indices_full(
             tx, powers, slot=slot, workspace=self._workspace
@@ -471,7 +475,7 @@ class InitPopulation(Simulator):
         listeners = np.flatnonzero(ok & self._listening)
         senders = tx[best[listeners]]
         ids = self._ids
-        return (listeners, senders), list(zip(ids[listeners].tolist(), ids[senders].tolist()))
+        return (listeners, senders), (ids[listeners].tolist(), ids[senders].tolist())
 
     def _deliver(self, slot: int, decoded: tuple[np.ndarray, np.ndarray]) -> None:
         listeners, senders = decoded
@@ -594,7 +598,8 @@ class InitialTreeBuilder:
                 stored_degrees={only.id: 0},
             )
 
-        delta, rounds_per_sweep, pairs_per_round = self._sweep_plan(node_list)
+        store = build_store(node_list, self.params.store)
+        delta, rounds_per_sweep, pairs_per_round = self._sweep_plan(store)
         population = InitPopulation(
             node_list,
             spawn_agent_rngs(rng, len(node_list)),
@@ -602,6 +607,7 @@ class InitialTreeBuilder:
             self.constants,
             rounds_per_sweep,
             pairs_per_round,
+            store=store,
         )
         rounds_used, sweeps_used = self._run_sweeps(
             population, population.active_count, rounds_per_sweep, pairs_per_round
@@ -620,13 +626,13 @@ class InitialTreeBuilder:
             sweeps_used,
         )
 
-    def _sweep_plan(self, node_list: Sequence[Node]) -> tuple[float, int, int]:
-        """``(delta, rounds per sweep, slot-pairs per round)`` of an instance."""
-        distances = node_distance_matrix(node_list)
-        np.fill_diagonal(distances, 0.0)
-        delta = float(distances.max())
+    def _sweep_plan(self, store: NetworkState) -> tuple[float, int, int]:
+        """``(delta, rounds per sweep, slot-pairs per round)`` of the instance
+        held by ``store`` - the geometry store the run's channel decodes on,
+        so delta costs no distance matrix of its own."""
+        delta = store.max_distance()
         rounds_per_sweep = num_rounds_for_delta(max(delta, 1.0))
-        return delta, rounds_per_sweep, self.constants.slot_pairs_per_round(len(node_list))
+        return delta, rounds_per_sweep, self.constants.slot_pairs_per_round(len(store))
 
     def _run_sweeps(
         self,

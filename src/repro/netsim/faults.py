@@ -78,17 +78,24 @@ class LatencyModel:
         if self.max_slots < 1:
             raise ConfigurationError(f"max_slots must be positive, got {self.max_slots}")
 
-    def delays(self, seed: int, src_id: int, dst_ids: np.ndarray, slot: int) -> IntpArray:
-        """Per-receiver delivery delays for one sender's slot-``slot`` message."""
+    def delays(
+        self, seed: int, src_ids: np.ndarray | int, dst_ids: np.ndarray, slot: int
+    ) -> IntpArray:
+        """Delivery delays of the ``src -> dst`` messages sent at ``slot``.
+
+        ``src_ids`` is one sender or an array aligned with ``dst_ids``.
+        """
+        src = np.asarray(src_ids, dtype=np.int64)
         dst = np.asarray(dst_ids, dtype=np.int64)
+        shape = np.broadcast_shapes(src.shape, dst.shape)
         if self.delay_prob <= 0.0:
-            return np.zeros(dst.shape, dtype=np.intp)
-        u_late = _uniform_open(_hash_u64(_DELAY_STREAM, seed, src_id, dst, slot, 1))
-        u_size = _uniform_open(_hash_u64(_DELAY_STREAM, seed, src_id, dst, slot, 2))
+            return np.zeros(shape, dtype=np.intp)
+        u_late = _uniform_open(_hash_u64(_DELAY_STREAM, seed, src, dst, slot, 1))
+        u_size = _uniform_open(_hash_u64(_DELAY_STREAM, seed, src, dst, slot, 2))
         # Geometric with the requested mean: ceil(log(u) / log(1 - 1/mean)).
         p = 1.0 / self.mean_slots
         if p >= 1.0:
-            size = np.ones(dst.shape, dtype=np.intp)
+            size = np.ones(shape, dtype=np.intp)
         else:
             size = np.ceil(np.log(u_size) / np.log1p(-p)).astype(np.intp)
         size = np.clip(size, 1, self.max_slots)
@@ -114,17 +121,13 @@ class CrashWindow:
 
 @dataclass(frozen=True)
 class CrashSchedule:
-    """A set of crash windows, queried per (node, slot).
+    """A set of crash windows, queried per slot.
 
     Attributes:
         windows: the node-down intervals; one node may have several.
     """
 
     windows: tuple[CrashWindow, ...] = ()
-
-    def is_crashed(self, node_id: int, slot: int) -> bool:
-        """Whether ``node_id`` is down at ``slot``."""
-        return any(w.node_id == node_id and w.covers(slot) for w in self.windows)
 
     def crashed_ids(self, slot: int) -> frozenset[int]:
         """Ids of every node down at ``slot``."""
@@ -245,6 +248,11 @@ class Partition:
             return False
         return self.end_slot is None or slot < self.end_slot
 
+    def crosses(self, src_ids: np.ndarray, dst_ids: np.ndarray) -> BoolArray:
+        """Whether each ``src -> dst`` message crosses the cut."""
+        left = np.fromiter(self.left, dtype=np.int64, count=len(self.left))
+        return np.isin(src_ids, left) != np.isin(dst_ids, left)
+
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -301,37 +309,39 @@ class FaultPlan:
 
     # -- message-level draws ------------------------------------------------
 
-    def dropped(self, src_id: int, dst_ids: np.ndarray, slot: int) -> BoolArray:
-        """Per-receiver drop decisions for one sender's slot-``slot`` message."""
+    # Each draw below hashes its own message identity, so one call over
+    # aligned id arrays is elementwise equal to one call per message.
+
+    def dropped(self, src_ids: np.ndarray | int, dst_ids: np.ndarray, slot: int) -> BoolArray:
+        """Drop decisions of the ``src -> dst`` messages sent at ``slot``.
+
+        ``src_ids`` is one sender or an array aligned with ``dst_ids``.
+        """
+        src = np.asarray(src_ids, dtype=np.int64)
         dst = np.asarray(dst_ids, dtype=np.int64)
-        out = np.zeros(dst.shape, dtype=bool)
+        out = np.zeros(np.broadcast_shapes(src.shape, dst.shape), dtype=bool)
         if self.drop_prob > 0.0:
-            u = _uniform_open(_hash_u64(_DROP_STREAM, self.seed, src_id, dst, slot))
+            u = _uniform_open(_hash_u64(_DROP_STREAM, self.seed, src, dst, slot))
             out |= u < self.drop_prob
         for partition in self.partitions:
             if partition.active(slot):
-                src_left = src_id in partition.left
-                out |= np.fromiter(
-                    ((int(d) in partition.left) != src_left for d in dst),
-                    dtype=bool,
-                    count=len(dst),
-                )
+                out |= partition.crosses(src, dst)
         return out
 
-    def delays(self, src_id: int, dst_ids: np.ndarray, slot: int) -> IntpArray:
-        """Per-receiver delivery delays (0 = arrives in the send slot)."""
-        dst = np.asarray(dst_ids, dtype=np.int64)
+    def delays(self, src_ids: np.ndarray | int, dst_ids: np.ndarray, slot: int) -> IntpArray:
+        """Delivery delays of the ``src -> dst`` messages (0 = the send slot)."""
         if self.latency is None:
-            return np.zeros(dst.shape, dtype=np.intp)
-        return self.latency.delays(self.seed, src_id, dst, slot)
+            shape = np.broadcast_shapes(np.shape(src_ids), np.shape(dst_ids))
+            return np.zeros(shape, dtype=np.intp)
+        return self.latency.delays(self.seed, src_ids, dst_ids, slot)
 
-    def heartbeat_dropped(self, node_id: int, slot: int) -> bool:
-        """Whether ``node_id``'s heartbeat at ``slot`` is lost."""
+    def heartbeats_dropped(self, node_ids: np.ndarray, slot: int) -> BoolArray:
+        """Whether each node's heartbeat at ``slot`` is lost."""
+        ids = np.asarray(node_ids, dtype=np.int64)
         prob = self.drop_prob if self.heartbeat_drop_prob is None else self.heartbeat_drop_prob
         if prob <= 0.0:
-            return False
-        u = _uniform_open(_hash_u64(_HEARTBEAT_STREAM, self.seed, node_id, slot))
-        return bool(u < prob)
+            return np.zeros(ids.shape, dtype=bool)
+        return _uniform_open(_hash_u64(_HEARTBEAT_STREAM, self.seed, ids, slot)) < prob
 
 
 class FaultTrace:
@@ -372,8 +382,8 @@ class FaultTrace:
     def record_recovery(self, slot: int, node_id: int) -> None:
         self.recoveries.append((slot, node_id))
 
-    def record_heartbeat_loss(self, hashed_slot: int, node_id: int) -> None:
-        self.heartbeat_losses.append((hashed_slot, node_id))
+    def record_heartbeat_losses(self, hashed_slot: int, node_ids: Iterable[int]) -> None:
+        self.heartbeat_losses.extend((hashed_slot, node_id) for node_id in node_ids)
 
     def summary(self) -> dict[str, int]:
         return {

@@ -50,6 +50,7 @@ from ..geometry import Node
 from ..obs.spans import span
 from ..runtime import ExecutionTrace, spawn_agent_rngs
 from ..sinr import ExplicitPower, SINRParameters, UniformPower
+from ..state import build_store
 from .detector import HeartbeatDetector
 from .driver import RoundDriver
 from .faults import FaultPlan
@@ -187,7 +188,8 @@ class NetInitBuilder:
             )
 
         lockstep = self._lockstep_builder()
-        delta, rounds_per_sweep, pairs_per_round = lockstep._sweep_plan(node_list)
+        store = build_store(node_list, self.params.store)
+        delta, rounds_per_sweep, pairs_per_round = lockstep._sweep_plan(store)
         agent_rngs = spawn_agent_rngs(rng, len(node_list))
         agents = [
             InitAgent(
@@ -205,7 +207,9 @@ class NetInitBuilder:
             interval=1,
             miss_threshold=self.miss_threshold,
         )
-        sim = NetSimulator(agents, self.params, self._make_transport(), detector=detector)
+        sim = NetSimulator(
+            agents, self.params, self._make_transport(), detector=detector, store=store
+        )
         driver = RoundDriver(sim)
 
         with span(

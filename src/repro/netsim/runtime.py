@@ -17,6 +17,18 @@
   .HeartbeatDetector`, whose view of liveness and progress is what round
   drivers act on instead of the lockstep engine's god's-eye agent reads.
 
+The control plane around the slot is array-shaped, one pass per slot:
+crash windows are synced by comparing the transport's down set with the
+previous slot's (transitions fire only when it changed, in node order); a
+slot's decodes go through one :meth:`~repro.netsim.transport.Transport
+.admit` call over aligned ``(src, dst)`` arrays; the heartbeats of every
+monitored, up node are one :meth:`~repro.netsim.transport.Transport
+.heartbeats_delivered` call, in node order, and one
+:meth:`~repro.netsim.detector.HeartbeatDetector.observe` update.  Every fault
+draw is a counter hash of its own identity, so these calls decide exactly
+what per-node and per-sender calls would (``tests/oracles.py`` keeps that
+scalar control plane as the parity oracle).
+
 Composed with :class:`~repro.netsim.transport.PerfectTransport`, every seam
 reduces to the lockstep engine: the same poll order, the same decode
 arithmetic, the same delivery order - so the zero-fault message trace and
@@ -43,6 +55,7 @@ from ..runtime.agent import NodeAgent
 from ..runtime.simulator import Simulator
 from ..runtime.trace import ExecutionTrace
 from ..sinr import Reception, SINRParameters
+from ..state import NetworkState
 from .detector import HeartbeatDetector
 from .faults import FaultTrace
 from .transport import PerfectTransport, Transport
@@ -60,6 +73,7 @@ class NetSimulator(Simulator):
         detector: failure detector fed by out-of-band heartbeats; a default
             one monitoring every agent each slot is created if omitted.
         trace: optional pre-existing trace to append to.
+        store: the geometry store over the agents' nodes, when already built.
     """
 
     _COUNTERS = ("netsim.slots", "netsim.sends", "netsim.deliveries")
@@ -72,21 +86,36 @@ class NetSimulator(Simulator):
         *,
         detector: HeartbeatDetector | None = None,
         trace: ExecutionTrace | None = None,
+        store: NetworkState | None = None,
     ) -> None:
-        super().__init__(agents, params, trace)
+        super().__init__(agents, params, trace, store=store)
         self.transport: Transport = transport if transport is not None else PerfectTransport()
         self.detector = (
             detector
             if detector is not None
             else HeartbeatDetector(list(self._node_ids), interval=1)
         )
+        self._pos_by_id = {node_id: i for i, node_id in enumerate(self._node_ids)}
         unknown = set(self.detector.node_ids) - set(self._node_ids)
         if unknown:
             raise ConfigurationError(
                 f"detector monitors ids outside the agent set: {sorted(unknown)[:5]}"
             )
-        self._crashed = [False] * len(self.agents)
-        self._pos_by_id = {node_id: i for i, node_id in enumerate(self._node_ids)}
+        self._ids = np.array(self._node_ids, dtype=np.int64)
+        #: per-position down flag, synced from the transport's crash windows.
+        self._crashed = np.zeros(len(self.agents), dtype=bool)
+        #: the transport's down set at the last sync (ids outside the agent
+        #: set included), so an unchanged set costs one comparison.
+        self._down: frozenset[int] = frozenset()
+        # Heartbeat senders: the monitored positions in simulator order, and
+        # where each one sits in the detector's arrays.
+        monitored = np.array(
+            [self._pos_by_id[node_id] for node_id in self.detector.node_ids], dtype=np.intp
+        )
+        order = np.argsort(monitored, kind="stable")
+        self._beat_pos = monitored[order]
+        self._beat_index = order
+        self._is_done = [agent.is_done for agent in self.agents]
         #: mature slot -> [(sequence, dst position, reception)], FIFO by sequence.
         self._pending: dict[int, list[tuple[int, int, Reception]]] = {}
         self._pending_seq = 0
@@ -107,21 +136,25 @@ class NetSimulator(Simulator):
 
     def crashed_ids(self) -> frozenset[int]:
         """Ids of the nodes currently down."""
-        return frozenset(
-            node_id
-            for node_id, crashed in zip(self._node_ids, self._crashed)
-            if crashed
-        )
+        return frozenset(self._ids[self._crashed].tolist())
 
     def _sync_crashes(self, slot: int) -> None:
-        """Apply the transport's crash windows, firing agent transitions."""
+        """Apply the transport's crash windows, firing agent transitions.
+
+        Transitions fire only when the down set changed since the last
+        slot, in node order.
+        """
+        down = self.transport.crashed_ids(slot)
+        if down == self._down:
+            return
+        self._down = down
+        now = np.isin(self._ids, np.fromiter(down, dtype=np.int64, count=len(down)))
+        changed = np.flatnonzero(now != self._crashed)
+        self._crashed = now
         trace = self.fault_trace
-        for i, node_id in enumerate(self._node_ids):
-            down = self.transport.is_crashed(node_id, slot)
-            if down == self._crashed[i]:
-                continue
-            self._crashed[i] = down
-            if down:
+        for i in changed.tolist():
+            node_id = self._node_ids[i]
+            if now[i]:
                 self.agents[i].on_crash(slot)
                 if trace is not None:
                     trace.record_crash(slot, node_id)
@@ -138,7 +171,7 @@ class NetSimulator(Simulator):
 
     def _poll(self, slot: int) -> tuple[list[int], list[float], list[Any]]:
         self._sync_crashes(slot)
-        if not any(self._crashed):
+        if not self._crashed.any():
             tx_pos, powers, messages = super()._poll(slot)
         else:
             # Crashed agents are not polled at all: they consume no
@@ -146,8 +179,8 @@ class NetSimulator(Simulator):
             tx_pos, powers, messages = [], [], []
             listening = self._listening
             listening[:] = True
-            for i, act in enumerate(self._act):
-                if self._crashed[i]:
+            for i, (act, crashed) in enumerate(zip(self._act, self._crashed.tolist())):
+                if crashed:
                     listening[i] = False
                     continue
                 action = act(slot)
@@ -166,34 +199,40 @@ class NetSimulator(Simulator):
         tx_pos: list[int],
         powers: list[float],
         messages: list[Any],
-    ) -> tuple[list[Reception | None], list[tuple[int, int]]]:
+    ) -> tuple[list[Reception | None], tuple[list[int], list[int]]]:
         """Channel decode, then the transport and the maturity queue filter
         which decoded deliveries arrive."""
-        receptions, pairs = super()._decode(slot, tx_pos, powers, messages)
+        receptions, (listener_ids, sender_ids) = super()._decode(slot, tx_pos, powers, messages)
         matured = self._pending.pop(slot, [])
-        if pairs:
-            dst_ids = np.array([dst for dst, _ in pairs], dtype=np.int64)
-            src_ids = np.array([src for _, src in pairs], dtype=np.int64)
-            delivered, delay = self.transport.admit(slot, src_ids, dst_ids)
+        if listener_ids:
+            delivered, delay = self.transport.admit(
+                slot,
+                np.array(sender_ids, dtype=np.int64),
+                np.array(listener_ids, dtype=np.int64),
+            )
             if bool(delivered.all()) and not delay.any() and not matured:
-                return receptions, pairs
-            kept_pairs: list[tuple[int, int]] = []
-            for k, (dst_id, src_id) in enumerate(pairs):
+                return receptions, (listener_ids, sender_ids)
+            kept_listeners: list[int] = []
+            kept_senders: list[int] = []
+            for dst_id, src_id, ok, lag in zip(
+                listener_ids, sender_ids, delivered.tolist(), delay.tolist()
+            ):
                 pos = self._pos_by_id[dst_id]
-                if not delivered[k]:
+                if not ok:
                     receptions[pos] = None
                     continue
-                if delay[k]:
+                if lag:
                     reception = receptions[pos]
                     receptions[pos] = None
                     assert reception is not None
-                    self._pending.setdefault(slot + int(delay[k]), []).append(
+                    self._pending.setdefault(slot + lag, []).append(
                         (self._pending_seq, pos, reception)
                     )
                     self._pending_seq += 1
                     continue
-                kept_pairs.append((dst_id, src_id))
-            pairs = kept_pairs
+                kept_listeners.append(dst_id)
+                kept_senders.append(src_id)
+            listener_ids, sender_ids = kept_listeners, kept_senders
         for _, pos, reception in sorted(matured, key=lambda item: item[0]):
             if self._crashed[pos]:
                 self.crash_drops += 1
@@ -206,36 +245,48 @@ class NetSimulator(Simulator):
                 if OBS.enabled:
                     OBS.registry.inc("netsim.receiver_busy_drops")
                 continue
+            dst_id = self._node_ids[pos]
             if receptions[pos] is not None:
                 # The older (matured) message wins the receive buffer.
                 self.receiver_busy_drops += 1
                 if OBS.enabled:
                     OBS.registry.inc("netsim.receiver_busy_drops")
-                pairs = [(dst, src) for dst, src in pairs if dst != self._node_ids[pos]]
+                keep = [k for k, listener in enumerate(listener_ids) if listener != dst_id]
+                listener_ids = [listener_ids[k] for k in keep]
+                sender_ids = [sender_ids[k] for k in keep]
             receptions[pos] = reception
-            pairs.append((self._node_ids[pos], reception.sender.id))
-        return receptions, pairs
+            listener_ids.append(dst_id)
+            sender_ids.append(reception.sender.id)
+        return receptions, (listener_ids, sender_ids)
 
     def _deliver(self, slot: int, receptions: list[Reception | None]) -> None:
-        for i, (observe, reception) in enumerate(zip(self._observe, receptions)):
-            if self._crashed[i]:
-                continue
-            observe(slot, reception)
+        if not self._crashed.any():
+            super()._deliver(slot, receptions)
+        else:
+            for observe, reception, crashed in zip(
+                self._observe, receptions, self._crashed.tolist()
+            ):
+                if not crashed:
+                    observe(slot, reception)
         self._emit_heartbeats(slot)
 
     def _emit_heartbeats(self, slot: int) -> None:
-        """Out-of-band heartbeats, sent once the slot's deliveries are done."""
+        """Out-of-band heartbeats, sent once the slot's deliveries are done:
+        one transport query over the monitored up nodes (in node order),
+        one detector update."""
         detector = self.detector
         if not detector.expects_heartbeat(slot):
             return
-        monitored = set(detector.node_ids)
-        for i, node_id in enumerate(self._node_ids):
-            if node_id not in monitored:
-                continue
-            if self._crashed[i] or not self.transport.heartbeat_delivered(node_id, slot):
-                detector.observe_miss(node_id, slot)
-            else:
-                detector.observe_heartbeat(node_id, slot, done=self.agents[i].is_done())
+        up = ~self._crashed[self._beat_pos]
+        senders = self._beat_pos[up]
+        delivered = self.transport.heartbeats_delivered(self._ids[senders], slot)
+        heard = self._beat_index[up][delivered]
+        arrived = np.zeros(len(self._beat_pos), dtype=bool)
+        arrived[heard] = True
+        done = np.zeros(len(self._beat_pos), dtype=bool)
+        is_done = self._is_done
+        done[heard] = [is_done[i]() for i in senders[delivered].tolist()]
+        detector.observe(slot, arrived, done)
 
     # -- summaries -----------------------------------------------------------
 

@@ -5,8 +5,15 @@ decides what the protocol stack above it actually *delivers*.  A
 :class:`PerfectTransport` delivers every decoded message in its send slot -
 composing it with the netsim runtime reproduces the lockstep simulator trace
 bit for bit.  A :class:`FaultyTransport` consults a
-:class:`~repro.netsim.faults.FaultPlan` per message and records what it did
-to a :class:`~repro.netsim.faults.FaultTrace`.
+:class:`~repro.netsim.faults.FaultPlan` and records what it did to a
+:class:`~repro.netsim.faults.FaultTrace`.
+
+Every query is an array query: :meth:`Transport.admit` takes a slot's
+aligned ``(src, dst)`` deliveries, :meth:`Transport.heartbeats_delivered` a
+slot's heartbeat senders and :meth:`Transport.crashed_ids` answers for every
+node at once.  The plan's draws are counter hashes of each message's own
+identity, so one call over the arrays decides exactly what one call per
+message would.
 
 The ``slot_offset`` lets a follow-up run (e.g. the tree-completion patch
 after crashes) continue the same fault streams instead of replaying the
@@ -43,12 +50,16 @@ class Transport(ABC):
         """
 
     @abstractmethod
+    def crashed_ids(self, slot: int) -> frozenset[int]:
+        """Ids of every node down at ``slot``."""
+
     def is_crashed(self, node_id: int, slot: int) -> bool:
         """Whether ``node_id`` is down at ``slot``."""
+        return node_id in self.crashed_ids(slot)
 
     @abstractmethod
-    def heartbeat_delivered(self, node_id: int, slot: int) -> bool:
-        """Whether ``node_id``'s out-of-band heartbeat at ``slot`` arrives."""
+    def heartbeats_delivered(self, node_ids: np.ndarray, slot: int) -> BoolArray:
+        """Whether each node's out-of-band heartbeat at ``slot`` arrives."""
 
 
 class PerfectTransport(Transport):
@@ -62,11 +73,11 @@ class PerfectTransport(Transport):
         count = len(np.asarray(dst_ids))
         return np.ones(count, dtype=bool), np.zeros(count, dtype=np.intp)
 
-    def is_crashed(self, node_id: int, slot: int) -> bool:
-        return False
+    def crashed_ids(self, slot: int) -> frozenset[int]:
+        return frozenset()
 
-    def heartbeat_delivered(self, node_id: int, slot: int) -> bool:
-        return True
+    def heartbeats_delivered(self, node_ids: np.ndarray, slot: int) -> BoolArray:
+        return np.ones(len(node_ids), dtype=bool)
 
 
 class FaultyTransport(Transport):
@@ -98,26 +109,25 @@ class FaultyTransport(Transport):
         src = np.asarray(src_ids, dtype=np.int64)
         dst = np.asarray(dst_ids, dtype=np.int64)
         hashed_slot = slot + self.slot_offset
-        delivered = np.ones(len(dst), dtype=bool)
-        delay = np.zeros(len(dst), dtype=np.intp)
-        # Group by sender: the plan's draws are vectorized over receivers of
-        # one sender's message, and the hash keys make the grouping
-        # immaterial to the outcome.
-        for src_id in np.unique(src):
-            mask = src == src_id
-            targets = dst[mask]
-            drops = self.plan.dropped(int(src_id), targets, hashed_slot)
-            delays = self.plan.delays(int(src_id), targets, hashed_slot)
-            delivered[mask] = ~drops
-            delay[mask] = np.where(drops, 0, delays)
-            for dst_id, was_dropped, d in zip(targets, drops, delays):
+        drops = self.plan.dropped(src, dst, hashed_slot)
+        delay = np.where(drops, 0, self.plan.delays(src, dst, hashed_slot)).astype(np.intp, copy=False)
+        delivered = ~drops
+        faulted = drops | (delay > 0)
+        if faulted.any():
+            # Trace order: by sender id, then in decode order.
+            order = np.argsort(src, kind="stable")
+            order = order[faulted[order]]
+            trace = self.trace
+            for src_id, dst_id, was_dropped, lag in zip(
+                src[order].tolist(), dst[order].tolist(), drops[order].tolist(), delay[order].tolist()
+            ):
                 if was_dropped:
-                    self.trace.record_drop(slot, int(src_id), int(dst_id))
-                elif d:
-                    self.trace.record_delay(slot, int(src_id), int(dst_id), int(d))
+                    trace.record_drop(slot, src_id, dst_id)
+                else:
+                    trace.record_delay(slot, src_id, dst_id, lag)
         if OBS.enabled:
             registry = OBS.registry
-            drop_count = len(dst) - int(delivered.sum())
+            drop_count = int(drops.sum())
             if drop_count:
                 registry.inc("netsim.dropped", drop_count)
             delay_count = int((delay > 0).sum())
@@ -125,12 +135,14 @@ class FaultyTransport(Transport):
                 registry.inc("netsim.delayed", delay_count)
         return delivered, delay
 
-    def is_crashed(self, node_id: int, slot: int) -> bool:
-        return self.plan.crashes.is_crashed(node_id, slot + self.slot_offset)
+    def crashed_ids(self, slot: int) -> frozenset[int]:
+        return self.plan.crashes.crashed_ids(slot + self.slot_offset)
 
-    def heartbeat_delivered(self, node_id: int, slot: int) -> bool:
+    def heartbeats_delivered(self, node_ids: np.ndarray, slot: int) -> BoolArray:
+        """Losses are recorded at the hashed slot, in ``node_ids`` order."""
+        ids = np.asarray(node_ids, dtype=np.int64)
         hashed_slot = slot + self.slot_offset
-        if self.plan.heartbeat_dropped(node_id, hashed_slot):
-            self.trace.record_heartbeat_loss(hashed_slot, node_id)
-            return False
-        return True
+        lost = self.plan.heartbeats_dropped(ids, hashed_slot)
+        if lost.any():
+            self.trace.record_heartbeat_losses(hashed_slot, ids[lost].tolist())
+        return ~lost

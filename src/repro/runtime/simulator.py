@@ -33,7 +33,7 @@ from ..obs.runtime import OBS
 from ..obs.spans import span
 from ..sinr import CachedChannel, Reception, SINRParameters
 from ..sinr.channel import ensure_positive_powers
-from ..state import DecodeWorkspace
+from ..state import DecodeWorkspace, NetworkState
 from .agent import NodeAgent
 from .trace import ExecutionTrace
 
@@ -55,6 +55,8 @@ class Simulator:
         agents: the per-node protocol agents.
         params: the physical-model parameters of the shared channel.
         trace: optional pre-existing trace to append to.
+        store: the geometry store over the agents' nodes, when the caller
+            has built it already (:func:`repro.state.build_store` otherwise).
     """
 
     #: Telemetry counters bumped per slot: slots, transmissions, receptions.
@@ -65,16 +67,22 @@ class Simulator:
         agents: Sequence[NodeAgent],
         params: SINRParameters,
         trace: ExecutionTrace | None = None,
+        *,
+        store: NetworkState | None = None,
     ):
         self.agents: list[NodeAgent] = list(agents)
-        self._bind_nodes([agent.node for agent in self.agents], params, trace)
+        self._bind_nodes([agent.node for agent in self.agents], params, trace, store)
         # Hot-loop hoists: bound methods are captured once instead of being
         # looked up per agent per slot.
         self._act = [agent.act for agent in self.agents]
         self._observe = [agent.observe for agent in self.agents]
 
     def _bind_nodes(
-        self, nodes: Sequence[Node], params: SINRParameters, trace: ExecutionTrace | None
+        self,
+        nodes: Sequence[Node],
+        params: SINRParameters,
+        trace: ExecutionTrace | None,
+        store: NetworkState | None = None,
     ) -> None:
         """Set up the fixed node universe every seam indexes by position."""
         ids = [node.id for node in nodes]
@@ -82,9 +90,10 @@ class Simulator:
             raise ProtocolError("duplicate node ids among agents")
         # The node set is fixed for the simulator's lifetime, so the channel
         # views one geometry store over the nodes, in the given order:
-        # node position == channel cache index.
+        # node position == channel cache index.  A caller that already built
+        # the store (to read the instance's geometry first) hands it in.
         self._nodes = list(nodes)
-        self.channel = CachedChannel(params, self._nodes)
+        self.channel = CachedChannel(params, self._nodes, state=store)
         self.trace = trace if trace is not None else ExecutionTrace()
         self._slot = 0
         self._node_ids: list[int] = ids
@@ -104,17 +113,20 @@ class Simulator:
         """Execute one slot."""
         slot = self._slot
         tx_pos, powers, messages = self._poll(slot)
-        receptions, pairs = self._decode(slot, tx_pos, powers, messages)
+        receptions, (listener_ids, sender_ids) = self._decode(slot, tx_pos, powers, messages)
         self._deliver(slot, receptions)
-        self.trace.append_slot(slot, [self._node_ids[i] for i in tx_pos], pairs, label)
+        node_ids = self._node_ids
+        self.trace.append_slot(
+            slot, [node_ids[i] for i in tx_pos], listener_ids, sender_ids, label
+        )
         if OBS.enabled:
             registry = OBS.registry
             slots, transmissions, received = self._COUNTERS
             registry.inc(slots)
             if tx_pos:
                 registry.inc(transmissions, len(tx_pos))
-            if pairs:
-                registry.inc(received, len(pairs))
+            if listener_ids:
+                registry.inc(received, len(listener_ids))
         self._slot += 1
 
     def _poll(self, slot: int) -> tuple[list[int], list[float], list[Any]]:
@@ -139,24 +151,26 @@ class Simulator:
         tx_pos: list[int],
         powers: list[float],
         messages: list[Any],
-    ) -> tuple[list[Reception | None], list[tuple[int, int]]]:
+    ) -> tuple[list[Reception | None], tuple[list[int], list[int]]]:
         """Resolve the slot's transmissions through the SINR channel.
 
-        Returns per-agent-position receptions plus the (listener id, sender
-        id) pairs in trace order.
+        Returns per-agent-position receptions plus the trace columns: the
+        listener ids and, aligned with them, the ids of the senders they
+        decoded.
         """
         node_ids = self._node_ids
         nodes = self._nodes
         receptions: list[Reception | None] = [None] * len(nodes)
-        pairs: list[tuple[int, int]] = []
+        listener_ids: list[int] = []
+        sender_ids: list[int] = []
         if not tx_pos:
-            return receptions, pairs
+            return receptions, (listener_ids, sender_ids)
         # Validate before the listener check so a non-positive power raises
         # even in a slot where every agent transmits.
         power_arr = np.array(powers, dtype=float)
         ensure_positive_powers(power_arr)
         if len(tx_pos) == len(nodes):
-            return receptions, pairs
+            return receptions, (listener_ids, sender_ids)
         best, sinr, ok = self.channel.resolve_indices_full(
             np.array(tx_pos, dtype=np.intp), power_arr, slot=slot, workspace=self._workspace
         )
@@ -167,8 +181,9 @@ class Simulator:
             receptions[pos] = Reception(
                 sender=nodes[src], message=messages[b], sinr=float(sinr[pos])
             )
-            pairs.append((node_ids[pos], node_ids[src]))
-        return receptions, pairs
+            listener_ids.append(node_ids[pos])
+            sender_ids.append(node_ids[src])
+        return receptions, (listener_ids, sender_ids)
 
     def _deliver(self, slot: int, receptions: list[Reception | None]) -> None:
         """Deliver the slot outcome to every agent, in agent order."""

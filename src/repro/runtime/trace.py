@@ -68,27 +68,35 @@ class ExecutionTrace:
         self,
         slot: int,
         transmitter_ids: Sequence[int],
-        reception_pairs: Sequence[tuple[int, int]],
+        listener_ids: Sequence[int],
+        sender_ids: Sequence[int],
         label: str = "",
     ) -> None:
-        """Append one slot from its components (the slot engine's entry point).
+        """Append one slot from its columns (the slot engine's entry point).
 
-        ``reception_pairs`` holds ``(listener id, sender id)`` pairs.
+        ``listener_ids[k]`` decoded ``sender_ids[k]``.
         """
+        if len(listener_ids) != len(sender_ids):
+            raise ValueError(
+                f"{len(listener_ids)} listeners but {len(sender_ids)} senders"
+            )
         self._slots.append(slot)
         self._labels.append(label)
         self._tx_flat.extend(transmitter_ids)
         self._tx_offsets.append(len(self._tx_flat))
-        for listener_id, sender_id in reception_pairs:
-            self._rx_listeners.append(listener_id)
-            self._rx_senders.append(sender_id)
+        self._rx_listeners.extend(listener_ids)
+        self._rx_senders.extend(sender_ids)
         self._rx_offsets.append(len(self._rx_listeners))
         self._materialized = None
 
     def record(self, record: SlotRecord) -> None:
         """Append one :class:`SlotRecord` by decomposing it into columns."""
         self.append_slot(
-            record.slot, record.transmitters, list(record.receptions.items()), record.label
+            record.slot,
+            record.transmitters,
+            list(record.receptions),
+            list(record.receptions.values()),
+            record.label,
         )
 
     # -- reading -------------------------------------------------------------

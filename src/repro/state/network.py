@@ -337,6 +337,21 @@ class NetworkState:
             self._distances = _freeze(pairwise_distances(self._xy))
         return self._distances
 
+    def max_distance(self) -> float:
+        """Largest distance between two live nodes (``0.0`` below two nodes).
+
+        The max of :meth:`distance_matrix` over the live slots, so it is the
+        very value the decodes read, and materializing it is work the first
+        decode would do anyway.
+        """
+        live = self.live_slots()
+        if live.size < 2:
+            return 0.0
+        dist = self.distance_matrix()
+        if live.size == self._capacity:
+            return float(dist.max())
+        return float(dist[np.ix_(live, live)].max())
+
     def attenuation_matrix(self, alpha: float) -> np.ndarray:
         """Capacity-sized ``d**alpha`` denominator per exponent (lazy, then patched).
 

@@ -549,6 +549,26 @@ class TiledNetworkState(NetworkState):
         np.take(cache.rows, positions, axis=0, out=stage)
         return stage
 
+    #: Rows per block of :meth:`max_distance`'s scan.
+    MAX_DISTANCE_ROWS = 256
+
+    def max_distance(self) -> float:
+        """Largest distance between two live nodes (``0.0`` below two nodes).
+
+        A row-blocked max of the same :func:`~repro.state.kernels
+        .pairwise_distances` expression the dense matrix holds (so the value
+        is bitwise the dense store's), without materializing O(n^2) memory.
+        """
+        live = self.live_slots()
+        if live.size < 2:
+            return 0.0
+        xy = self._xy[live]
+        rows = self.MAX_DISTANCE_ROWS
+        return max(
+            float(pairwise_distances(xy[start : start + rows], xy).max())
+            for start in range(0, len(xy), rows)
+        )
+
     # -- dense accessors (refused) ---------------------------------------------
 
     def distance_matrix(self) -> np.ndarray:

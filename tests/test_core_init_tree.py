@@ -17,7 +17,7 @@ from repro.links import length_class_index
 from repro.netsim import NetInitBuilder
 from repro.obs import telemetry
 from repro.sinr import SINRParameters
-from repro.state.store import MAX_CACHED_CHANNEL_NODES
+from repro.state.store import MAX_CACHED_CHANNEL_NODES, build_store
 
 from .conftest import make_node
 from .oracles import agent_init_build, init_fingerprint
@@ -246,7 +246,8 @@ class TestEdgeSemantics:
         with telemetry() as registry, pytest.raises(ProtocolError, match="did not converge"):
             make_build(params, constants, 3)(nodes, np.random.default_rng(1))
         # It raises only after all three sweeps ran in full.
-        _, rounds_per_sweep, pairs_per_round = InitialTreeBuilder(params, constants)._sweep_plan(nodes)
+        plan = InitialTreeBuilder(params, constants)._sweep_plan(build_store(nodes, params.store))
+        _, rounds_per_sweep, pairs_per_round = plan
         slots = registry.counter_value("sim.slots") + registry.counter_value("netsim.slots")
         assert slots == 3 * rounds_per_sweep * pairs_per_round * 2
 

@@ -139,10 +139,11 @@ class TestTransports:
         base = FaultyTransport(plan)
         shifted = FaultyTransport(plan, slot_offset=1000)
         continuation = FaultyTransport(plan)
+        ids = np.array([7], dtype=np.int64)
         for slot in range(64):
-            base.heartbeat_delivered(7, slot)
-            shifted.heartbeat_delivered(7, slot)
-            continuation.heartbeat_delivered(7, slot + 1000)
+            base.heartbeats_delivered(ids, slot)
+            shifted.heartbeats_delivered(ids, slot)
+            continuation.heartbeats_delivered(ids, slot + 1000)
         assert base.trace.summary()["heartbeat_losses"] > 0
         assert base.trace.digest() != shifted.trace.digest()
         assert shifted.trace.digest() == continuation.trace.digest()
@@ -157,27 +158,37 @@ class TestTransports:
         assert len(transport.trace.delayed) == int((delay > 0).sum())
 
 
+def _beats(*flags):
+    return np.array(flags, dtype=bool)
+
+
 class TestHeartbeatDetector:
     def test_suspects_after_threshold_and_recovers(self):
         detector = HeartbeatDetector([1, 2], miss_threshold=3)
         for slot in range(3):
-            detector.observe_miss(1, slot)
+            detector.observe(slot, _beats(False, True), _beats(False, False))
         assert detector.suspected_ids() == {1}
         assert detector.alive_view() == [2]
-        detector.observe_heartbeat(1, 3, done=False)
+        detector.observe(3, _beats(True, True), _beats(False, False))
         assert detector.suspected_ids() == frozenset()
 
     def test_active_view_counts_not_done_alive(self):
         detector = HeartbeatDetector([1, 2, 3], miss_threshold=1)
-        detector.observe_heartbeat(1, 0, done=True)
-        detector.observe_miss(2, 0)
+        # Node 1 reports done, node 2's heartbeat is lost, node 3 is silent
+        # on status (its "done" flag is ignored because it did not arrive).
+        detector.observe(0, _beats(True, False, True), _beats(True, True, False))
         assert detector.active_view() == 1  # only node 3
 
     def test_require_alive_raises(self):
         detector = HeartbeatDetector([1], miss_threshold=1)
-        detector.observe_miss(1, 0)
+        detector.observe(0, _beats(False), _beats(False))
         with pytest.raises(NodeCrashedError):
             detector.require_alive(1)
+        detector.require_alive(99)  # unmonitored ids are never suspected
+
+    def test_rejects_duplicate_ids(self):
+        with pytest.raises(ConfigurationError):
+            HeartbeatDetector([1, 2, 1])
 
 
 class TestNetSimulatorSemantics:

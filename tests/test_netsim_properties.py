@@ -89,9 +89,14 @@ class TestFaultDeterminism:
 
     def test_heartbeat_loss_is_per_identity(self):
         plan = FaultPlan(seed=9, drop_prob=0.0, heartbeat_drop_prob=0.5)
-        history = [plan.heartbeat_dropped(3, slot) for slot in range(100)]
-        assert history == [plan.heartbeat_dropped(3, slot) for slot in range(100)]
+        ids = np.array([3], dtype=np.int64)
+        history = [bool(plan.heartbeats_dropped(ids, slot)[0]) for slot in range(100)]
+        assert history == [bool(plan.heartbeats_dropped(ids, slot)[0]) for slot in range(100)]
         assert any(history) and not all(history)
+        # One call over many ids decides each id's heartbeat on its own.
+        crowd = np.array([11, 3, 5], dtype=np.int64)
+        for slot in range(100):
+            assert plan.heartbeats_dropped(crowd, slot)[1] == history[slot]
 
 
 class TestCrashSurvivability:

@@ -26,7 +26,7 @@ import pytest
 from repro.core import InitialTreeBuilder, TreeRepairer
 from repro.dynamics import LogNormalShadowing, RayleighFading
 from repro.experiments import ALL_EXPERIMENTS, ExperimentConfig
-from repro.geometry import Node, Point
+from repro.geometry import Node, Point, node_distance_matrix
 from repro.links import Link
 from repro.obs import OBS, MetricsRegistry, telemetry
 from repro.sinr import (
@@ -190,6 +190,49 @@ class TestTileGrid:
         grid = build_tile_grid(np.empty((0, 2)), np.empty(0, dtype=np.intp), 1.0, 4)
         assert grid.tile_count == 0
         assert (grid.tile_index_by_slot == -1).all()
+
+
+def _reference_delta(nodes) -> float:
+    """The instance's delta the way ``Init`` computed it before it read the
+    geometry store: a throwaway node distance matrix."""
+    distances = node_distance_matrix(nodes)
+    np.fill_diagonal(distances, 0.0)
+    return float(distances.max())
+
+
+class TestMaxDistance:
+    """``max_distance`` is bitwise the delta of a fresh distance matrix."""
+
+    @pytest.mark.parametrize("count", [2, 3, 97, 600])
+    def test_dense_and_tiled_match_reference(self, rng, count, monkeypatch):
+        nodes = _make_nodes(rng, count)
+        expected = _reference_delta(nodes)
+        assert NetworkState(nodes).max_distance() == expected
+        assert TiledNetworkState(nodes).max_distance() == expected
+        # A block size that does not divide n leaves a ragged last block.
+        monkeypatch.setattr(TiledNetworkState, "MAX_DISTANCE_ROWS", 7)
+        assert TiledNetworkState(nodes).max_distance() == expected
+
+    def test_after_churn_reads_only_live_nodes(self, rng):
+        nodes = _make_nodes(rng, 30)
+        far = Node(999, Point(1e4, 1e4))
+        for store in (NetworkState, TiledNetworkState):
+            state = store(nodes + [far], capacity=40)
+            state.remove_nodes([999, 3, 17])
+            fresh = _make_nodes(rng, 4, start_id=100)
+            state.add_nodes(fresh)
+            live = [node for node in nodes if node.id not in (3, 17)] + fresh
+            assert state.max_distance() == _reference_delta(live)
+
+    def test_below_two_nodes_is_zero(self, rng):
+        for nodes in ([], _make_nodes(rng, 1)):
+            assert NetworkState(nodes).max_distance() == 0.0
+            assert TiledNetworkState(nodes).max_distance() == 0.0
+
+    def test_init_delta_is_unchanged(self, rng):
+        nodes = _make_nodes(rng, 40)
+        result = InitialTreeBuilder(SINRParameters()).build(nodes, np.random.default_rng(2))
+        assert result.delta == _reference_delta(nodes)
 
 
 class TestTiledNetworkStateParity:
